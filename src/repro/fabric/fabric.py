@@ -16,7 +16,7 @@ selection bug, not an expected run-time condition.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..core.molecule import AtomSpace, Molecule
 from ..errors import CapacityError, ContainerFaultError, FabricError
@@ -63,15 +63,7 @@ class Fabric:
         for container in self.containers:
             container.owner = self
         self._evictions = 0
-        self._reserved = 0
         self._dead = 0
-        self._retired = 0
-        #: Index trails for state capture: which containers died (hard
-        #: faults) and which were retired (administrative shrink), in
-        #: order.  A fabric rebuilt by replaying these trails onto a
-        #: fresh array is state-identical for arbitration purposes.
-        self._dead_indices: List[int] = []
-        self._retired_indices: List[int] = []
         #: Loaded containers grouped by atom type, kept current by the
         #: containers' owner notifications (so it stays exact even when
         #: containers are driven directly).  ``_loaded_ver`` bumps on
@@ -138,94 +130,18 @@ class Fabric:
         return self._dead
 
     @property
-    def retired_count(self) -> int:
-        """Number of administratively retired (shrunk-away) containers.
-
-        Kept separate from :attr:`dead_count` so fault accounting —
-        breaker trips, degradation flags — is untouched by deliberate
-        fleet reconfiguration.
-        """
-        return self._retired
-
-    @property
-    def dead_indices(self) -> Tuple[int, ...]:
-        """Indices of hard-faulted containers, in kill order."""
-        return tuple(self._dead_indices)
-
-    @property
-    def retired_indices(self) -> Tuple[int, ...]:
-        """Indices of retired containers, in retirement order."""
-        return tuple(self._retired_indices)
-
-    @property
     def usable_acs(self) -> int:
-        """The *effective* AC budget: total minus dead and retired.
+        """The *effective* AC budget: total minus dead containers.
 
         The Run-Time Manager plans molecule selections against this
-        number, so plans keep fitting as containers die or the fleet
-        is shrunk live.
+        number, so plans keep fitting as containers die.
         """
-        return self.num_acs - self.dead_count - self._retired
+        return self.num_acs - self.dead_count
 
     @property
     def is_degraded(self) -> bool:
         """Whether the fabric lost at least one container to a fault."""
         return self.dead_count > 0
-
-    # -- arbitration leases ----------------------------------------------------
-
-    @property
-    def reserved_acs(self) -> int:
-        """Containers currently leased out by an arbiter (see
-        :mod:`repro.service`).  Leases are pure book-keeping on top of
-        the container array: they cap how many ACs concurrent tenants
-        may plan against, they do not pin specific containers."""
-        return self._reserved
-
-    @property
-    def free_acs(self) -> int:
-        """Usable containers not currently under a lease."""
-        return max(0, self.usable_acs - self._reserved)
-
-    @property
-    def overcommitted_acs(self) -> int:
-        """How far existing leases exceed the usable budget.
-
-        Becomes positive when container faults shrink :attr:`usable_acs`
-        below the already-granted leases; the arbiter preempts tenants
-        until this returns to zero.
-        """
-        return max(0, self._reserved - self.usable_acs)
-
-    def reserve_acs(self, count: int) -> None:
-        """Lease ``count`` usable containers to a tenant.
-
-        Raises
-        ------
-        CapacityError
-            When fewer than ``count`` unleased usable containers remain.
-            Arbiters are expected to check :attr:`free_acs` first — this
-            raise guards against double-granting bugs.
-        """
-        if count < 0:
-            raise FabricError(f"negative lease: {count}")
-        if count > self.free_acs:
-            raise CapacityError(
-                f"cannot lease {count} ACs: only {self.free_acs} of "
-                f"{self.usable_acs} usable ACs are free "
-                f"({self._reserved} already leased)"
-            )
-        self._reserved += count
-
-    def release_acs(self, count: int) -> None:
-        """Return ``count`` leased containers to the free pool."""
-        if count < 0:
-            raise FabricError(f"negative lease release: {count}")
-        if count > self._reserved:
-            raise FabricError(
-                f"cannot release {count} ACs: only {self._reserved} leased"
-            )
-        self._reserved -= count
 
     # -- availability ----------------------------------------------------------
 
@@ -293,61 +209,6 @@ class Fabric:
             container.fail_load()
         container.mark_faulty()
         self._dead += 1
-        self._dead_indices.append(index)
-
-    # -- live reconfiguration --------------------------------------------------
-
-    def retire_container(self, index: int) -> None:
-        """Administratively remove one container from the fleet.
-
-        Retirement reuses the fault plumbing — the container is marked
-        FAULTY so placement, availability and fault injection all skip
-        it — but it is counted separately: :attr:`dead_count`,
-        :attr:`is_degraded` and everything breaker-related see only
-        genuine faults.  A loading atom is lost, exactly as for a kill.
-
-        Raises
-        ------
-        ContainerFaultError
-            For an unknown index or an already dead/retired container.
-        """
-        if not 0 <= index < self.num_acs:
-            raise ContainerFaultError(
-                f"cannot retire AC{index}: fabric has {self.num_acs} "
-                f"containers"
-            )
-        container = self.containers[index]
-        if container.is_faulty:
-            raise ContainerFaultError(
-                f"cannot retire AC{index}: container already "
-                f"dead or retired"
-            )
-        if container.is_loading:
-            container.fail_load()
-        container.mark_faulty()
-        self._retired += 1
-        self._retired_indices.append(index)
-
-    def add_containers(self, count: int) -> Tuple[int, ...]:
-        """Grow the fleet by ``count`` fresh EMPTY containers.
-
-        Returns the indices of the new containers.  New capacity is
-        immediately plannable: :attr:`usable_acs` and :attr:`free_acs`
-        grow by ``count``.
-        """
-        if count < 0:
-            raise FabricError(f"negative AC growth: {count}")
-        new_indices = []
-        for _ in range(count):
-            container = AtomContainer(self.num_acs)
-            container.owner = self
-            self.containers.append(container)
-            self._empty.add(container.index)
-            new_indices.append(container.index)
-            self.num_acs += 1
-        if count:
-            self._loaded_ver += 1
-        return tuple(new_indices)
 
     # -- placement / eviction ----------------------------------------------------
 
@@ -438,18 +299,14 @@ class Fabric:
                 container.use_count += 1
 
     def reset(self) -> None:
-        """Clear all containers and leases (cold fabric)."""
+        """Clear all containers (cold fabric)."""
         for container in self.containers:
             container.owner = None
         self.containers = [AtomContainer(i) for i in range(self.num_acs)]
         for container in self.containers:
             container.owner = self
         self._evictions = 0
-        self._reserved = 0
         self._dead = 0
-        self._retired = 0
-        self._dead_indices = []
-        self._retired_indices = []
         self._loaded_groups = {}
         self._avail_counts = [0] * self.registry.space.size
         self._empty = {c.index for c in self.containers}
@@ -459,11 +316,8 @@ class Fabric:
         loaded = sum(1 for c in self.containers if c.is_loaded)
         loading = sum(1 for c in self.containers if c.is_loading)
         dead = self.dead_count
-        retired = self.retired_count
-        empty = self.num_acs - loaded - loading - dead - retired
+        empty = self.num_acs - loaded - loading - dead
         desc = f"{loaded} loaded, {loading} loading, {empty} empty"
         if dead:
             desc += f", {dead} dead"
-        if retired:
-            desc += f", {retired} retired"
         return f"Fabric({self.num_acs} ACs: {desc})"

@@ -229,12 +229,13 @@ RULE_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "RL010": {
         "enabled": True,
         # The integer-exact zones: scheduler benefit logic, both
-        # trace-replay engines, and the service's virtual clock.
+        # trace-replay engines, and every service module (the virtual
+        # clock and the arbiter state it drives).
         "include": [
             "repro/core/schedulers/*",
             "repro/sim/engine.py",
             "repro/sim/vector.py",
-            "repro/service/arbiter.py",
+            "repro/service/*",
         ],
         "allow": [],
         # Name patterns of integer-exact state: cycle counters,

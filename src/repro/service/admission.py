@@ -19,7 +19,12 @@ from ..errors import ServiceError
 from .request import ServiceRequest
 from .tenant import TenantSpec
 
-__all__ = ["SHED_REASONS", "TokenBucket", "AdmissionController"]
+__all__ = [
+    "SHED_REASONS",
+    "TokenBucket",
+    "TenantLedger",
+    "AdmissionController",
+]
 
 #: The shedding taxonomy.  ``draining`` is checked first (a leaving
 #: tenant's new arrivals are refused outright); then the gates in
@@ -37,29 +42,35 @@ SHED_REASONS = (
 )
 
 
+@dataclass
 class TokenBucket:
     """Integer token bucket on the virtual clock: one token per
     ``interval`` ticks, at most ``capacity`` banked."""
 
-    def __init__(self, capacity: int, interval: int) -> None:
-        if capacity < 1 or interval < 1:
+    capacity: int
+    interval: int
+    #: Banked tokens; a bucket created without a count starts full.
+    tokens: int = -1
+    #: Tick up to which refills have been credited.
+    last: int = 0
+
+    def __post_init__(self) -> None:
+        if self.capacity < 1 or self.interval < 1:
             raise ServiceError(
                 f"token bucket needs capacity >= 1 and interval >= 1, "
-                f"got capacity={capacity} interval={interval}"
+                f"got capacity={self.capacity} interval={self.interval}"
             )
-        self.capacity = int(capacity)
-        self.interval = int(interval)
-        self.tokens = int(capacity)
-        self._last = 0
+        if self.tokens < 0:
+            self.tokens = self.capacity
 
     def _refill(self, now: int) -> None:
-        gained = (now - self._last) // self.interval
+        gained = (now - self.last) // self.interval
         if gained > 0:
             self.tokens = min(self.capacity, self.tokens + gained)
-            self._last += gained * self.interval
+            self.last += gained * self.interval
             if self.tokens == self.capacity:
                 # Full bucket: credit no partial interval from idle time.
-                self._last = now
+                self.last = now
 
     def try_take(self, now: int) -> bool:
         """Consume one token if available; refills first."""
@@ -71,11 +82,13 @@ class TokenBucket:
 
 
 @dataclass
-class _TenantLedger:
-    """Per-tenant admission bookkeeping."""
+class TenantLedger:
+    """Per-tenant admission bookkeeping (part of the arbiter state)."""
 
-    spec: TenantSpec
     bucket: TokenBucket
+    #: The tenant's caps, copied from its :class:`TenantSpec`.
+    max_in_flight: int
+    atom_budget: int
     in_flight: int = 0
     leased_atoms: int = 0
     #: EWMA of observed fabric service times, scaled — see
@@ -97,6 +110,7 @@ class AdmissionController:
         tenants: Sequence[TenantSpec],
         queue_limit: int,
         default_est_ticks: int = 24,
+        ledgers: Optional[Dict[str, TenantLedger]] = None,
     ) -> None:
         if queue_limit < 1:
             raise ServiceError(
@@ -106,43 +120,41 @@ class AdmissionController:
             raise ServiceError("tenant names must be unique")
         self.queue_limit = int(queue_limit)
         self.default_est_ticks = int(default_est_ticks)
-        self._ledgers: Dict[str, _TenantLedger] = {
-            tenant.name: _TenantLedger(
-                spec=tenant,
-                bucket=TokenBucket(tenant.burst, tenant.rate_interval),
-                est_ticks=self.default_est_ticks,
-            )
-            for tenant in tenants
-        }
-
-    def ledger_for(self, tenant: str) -> _TenantLedger:
-        return self._ledgers[tenant]
+        #: The ledgers this controller books into — the arbiter passes
+        #: its run state's dict; tenants without a ledger get a fresh one.
+        self.ledgers: Dict[str, TenantLedger] = (
+            {} if ledgers is None else ledgers
+        )
+        for tenant in tenants:
+            if tenant.name not in self.ledgers:
+                self.add_tenant(tenant)
 
     def add_tenant(self, spec: TenantSpec) -> None:
         """Open a fresh ledger for a tenant joining mid-run."""
-        if spec.name in self._ledgers:
+        if spec.name in self.ledgers:
             raise ServiceError(
                 f"tenant {spec.name!r} already has an admission ledger"
             )
-        self._ledgers[spec.name] = _TenantLedger(
-            spec=spec,
+        self.ledgers[spec.name] = TenantLedger(
             bucket=TokenBucket(spec.burst, spec.rate_interval),
+            max_in_flight=spec.max_in_flight,
+            atom_budget=spec.atom_budget,
             est_ticks=self.default_est_ticks,
         )
 
     def estimate(self, tenant: str) -> int:
         """Current service-time estimate (ticks) for one tenant."""
-        return self._ledgers[tenant].est_ticks
+        return self.ledgers[tenant].est_ticks
 
     def observe_service_ticks(self, tenant: str, actual: int) -> None:
         """Fold an observed fabric service time into the estimate
         (integer EWMA, weight 1/4 on the new observation)."""
-        ledger = self._ledgers[tenant]
+        ledger = self.ledgers[tenant]
         ledger.est_ticks = max(1, (3 * ledger.est_ticks + actual) // 4)
 
     def seed_estimate(self, tenant: str, est: int) -> None:
         """Install a planning-derived initial estimate (pre-traffic)."""
-        self._ledgers[tenant].est_ticks = max(1, int(est))
+        self.ledgers[tenant].est_ticks = max(1, int(est))
 
     def admit(
         self,
@@ -159,14 +171,13 @@ class AdmissionController:
         serves concurrently — together they estimate this request's
         start tick for the deadline gate.
         """
-        ledger = self._ledgers[request.tenant]
-        spec = ledger.spec
+        ledger = self.ledgers[request.tenant]
         reason: Optional[str] = None
         if not ledger.bucket.try_take(now):
             reason = "rate_limited"
-        elif ledger.in_flight >= spec.max_in_flight:
+        elif ledger.in_flight >= ledger.max_in_flight:
             reason = "in_flight_cap"
-        elif ledger.leased_atoms + request.lease_acs > spec.atom_budget:
+        elif ledger.leased_atoms + request.lease_acs > ledger.atom_budget:
             reason = "atom_budget"
         elif queue_depth >= self.queue_limit:
             reason = "queue_full"
@@ -182,7 +193,7 @@ class AdmissionController:
 
     def release(self, request: ServiceRequest) -> None:
         """Refund one admitted request's ledger charges (completion)."""
-        ledger = self._ledgers[request.tenant]
+        ledger = self.ledgers[request.tenant]
         if ledger.in_flight <= 0:
             raise ServiceError(
                 f"ledger underflow for tenant {request.tenant!r}: "

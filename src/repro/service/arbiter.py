@@ -10,8 +10,8 @@ scheduling/simulation requests with deadlines, and the service decides
   bucket, in-flight cap, atom budget, bounded queue, deadline triage);
   sheds are tagged with the taxonomy and counted per tenant.
 * **Arbitration** — admitted requests queue by
-  ``(priority, deadline, seq)``; dispatch leases
-  :attr:`~repro.fabric.fabric.Fabric.free_acs` containers per request
+  ``(priority, deadline, seq)``; dispatch leases free containers
+  (:class:`~repro.service.state.LeaseLedger`) per request
   and plans the tenant's hot spot against exactly that lease
   (:meth:`~repro.core.runtime.RuntimeManager.plan_with_lease` seeds the
   admission estimates).  Higher-priority arrivals preempt lower-priority
@@ -32,9 +32,11 @@ scheduling/simulation requests with deadlines, and the service decides
   their admitted work (new arrivals shed as ``draining``), removed
   containers evict over-committed leases through the normal preemption
   path (reason ``retire``).
-* **Crash safety** — with ``snapshot_every`` set (and a journal on
-  disk), the arbiter periodically persists its complete state
-  (:mod:`repro.service.snapshot`); :func:`recover_service` restores the
+* **Crash safety** — all mutable run state is one declared
+  :class:`~repro.service.state.ArbiterState`; with ``snapshot_every``
+  set (and a journal on disk), the arbiter periodically persists its
+  generic encoding (:mod:`repro.service.snapshot`);
+  :func:`recover_service` restores the
   newest valid snapshot — or replays from tick 0 — and re-executes,
   verifying every regenerated journal line byte-for-byte against the
   on-disk tail, so a run killed at *any* tick recovers to bit-identical
@@ -57,7 +59,7 @@ import random
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, TextIO, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .._atomic import trim_torn_tail
 from ..core.runtime import RuntimeManager
@@ -66,10 +68,8 @@ from ..errors import RecoveryError, ServiceCrash, ServiceError
 from ..exec.cache import CODE_VERSION_SALT, ResultCache, canonical_json, cell_key
 from ..exec.runner import execute_cell
 from ..exec.spec import SweepCell
-from ..fabric.atom import AtomRegistry
-from ..fabric.fabric import Fabric
 from ..fabric.faults import backoff_delay
-from ..h264.silibrary import HOT_SPOT_SIS, build_atom_registry, build_si_library
+from ..h264.silibrary import HOT_SPOT_SIS, build_si_library
 from ..obs.events import (
     AcRetired,
     BreakerTransition,
@@ -88,7 +88,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from .admission import AdmissionController
 from .breaker import CircuitBreaker
-from .control import ControlEvent, validate_control_events
+from .control import ControlEvent, ordered_controls, validate_control_events
 from .report import ServiceReport, TenantStats
 from .request import RequestRecord, ServiceRequest, generate_requests
 from .snapshot import (
@@ -97,6 +97,7 @@ from .snapshot import (
     load_latest_snapshot,
     write_snapshot,
 )
+from .state import ArbiterState, LeaseLedger, decode_state, encode_state
 from .tenant import TenantSpec
 
 __all__ = [
@@ -130,6 +131,13 @@ _HIT_LATENCY_TICKS = 1
 #: subprocess/CI path), ``raise`` throws :class:`ServiceCrash` so
 #: in-process tests can observe the post-crash disk state.
 _CRASH_MODES = ("sigkill", "raise")
+
+
+def _victim_order(record: RequestRecord) -> Tuple[int, int, int]:
+    """Preemption order: lowest priority, then latest deadline, then
+    latest arrival first."""
+    request = record.request
+    return (request.priority, -request.deadline, -request.seq)
 
 
 @dataclass(frozen=True)
@@ -296,7 +304,12 @@ class _ServiceJournal:
 
 
 class _Arbiter:
-    """One service run's mutable state (see module docstring)."""
+    """One service run: the declared :class:`ArbiterState` plus wiring.
+
+    Every mutable quantity of the run lives in ``self.state``; the
+    other attributes are fixed for the arbiter's lifetime (the
+    admission controller books into ``state.ledgers``).
+    """
 
     def __init__(
         self,
@@ -307,63 +320,51 @@ class _Arbiter:
         metrics: Optional[MetricsRegistry],
         journal: _ServiceJournal,
         control_events: Sequence[ControlEvent] = (),
+        state: Optional[ArbiterState] = None,
         crash_at_tick: Optional[int] = None,
         crash_mode: str = "sigkill",
         journal_path: Optional[Union[str, Path]] = None,
         fsync: bool = False,
+        replaying: bool = False,
     ) -> None:
-        self.tenants = {tenant.name: tenant for tenant in tenants}
-        if len(self.tenants) != len(tenants):
-            raise ServiceError("tenant names must be unique")
+        self.fleet = tuple(tenants)
         self.config = config
         self.cache = cache
         self.tracer = tracer
         self.metrics = metrics
         self.journal = journal
-        #: Control schedule in deterministic processing order (tick,
-        #: then position in the caller's list).
-        self.controls: List[ControlEvent] = [
-            event
-            for _, event in sorted(
-                enumerate(control_events),
-                key=lambda item: (item[1].tick, item[0]),
-            )
-        ]
+        self.controls = ordered_controls(control_events)
         self.fingerprint = config_fingerprint(
             tenants, config, self.controls
         )
-        self.fabric = Fabric(self._registry(), config.num_acs)
+        #: Every tenant spec the run can meet: the fleet plus joiners.
+        self.tenants = {tenant.name: tenant for tenant in tenants}
+        if len(self.tenants) != len(tenants):
+            raise ServiceError("tenant names must be unique")
+        for event in self.controls:
+            if event.spec is not None:
+                self.tenants[event.name] = event.spec
+        self.state = state if state is not None else ArbiterState(
+            breaker=CircuitBreaker(
+                threshold=config.breaker_threshold,
+                window=config.breaker_window,
+                cooldown=config.breaker_cooldown,
+            ),
+            leases=LeaseLedger(config.num_acs),
+            rng=random.Random(config.seed),
+            stats={
+                tenant.name: TenantStats(
+                    name=tenant.name, priority=tenant.priority
+                )
+                for tenant in tenants
+            },
+        )
         self.admission = AdmissionController(
             tenants,
             queue_limit=config.queue_limit,
             default_est_ticks=_DEFAULT_EST_TICKS,
+            ledgers=self.state.ledgers,
         )
-        self.breaker = CircuitBreaker(
-            threshold=config.breaker_threshold,
-            window=config.breaker_window,
-            cooldown=config.breaker_cooldown,
-        )
-        self.rng = random.Random(config.seed)
-        self.stats = {
-            tenant.name: TenantStats(
-                name=tenant.name, priority=tenant.priority
-            )
-            for tenant in tenants
-        }
-        self.requests: List[ServiceRequest] = []
-        self.records: List[RequestRecord] = []
-        self.queue: List[RequestRecord] = []
-        self.running: List[RequestRecord] = []
-        self.heap: List[Tuple[int, int, int, int, int]] = []
-        self.memo: Dict[str, Dict[str, Any]] = {}
-        self.faults = 0
-        self.end_tick = 0
-        self._push_seq = 0
-        #: Tenants whose ``tenant_leave`` landed; arrivals shed as
-        #: ``draining``.  ``drained`` ⊆ ``draining``: the subset whose
-        #: admitted work has fully completed.
-        self.draining: Set[str] = set()
-        self.drained: Set[str] = set()
         self._crash_at = crash_at_tick
         self._crash_mode = crash_mode
         self._journal_path = (
@@ -375,13 +376,9 @@ class _Arbiter:
         #: cannot see answers the crashed run stored *after* the
         #: resume point (which would flip misses into hits and diverge
         #: the journal).
-        self._replaying = False
-        self._next_snapshot = config.snapshot_every
+        self._replaying = replaying
 
     # -- setup -------------------------------------------------------------
-
-    def _registry(self) -> AtomRegistry:
-        return build_atom_registry()
 
     def _planning_estimate(self, tenant: TenantSpec) -> int:
         """One tenant's plan-derived admission estimate (ticks).
@@ -392,8 +389,7 @@ class _Arbiter:
         This is the paper's planning machinery answering the service's
         triage question before any traffic flows.
         """
-        registry = build_atom_registry()
-        library = build_si_library(registry)
+        library = build_si_library()
         empty = library.space.molecule({})
         manager = RuntimeManager(
             library,
@@ -416,16 +412,12 @@ class _Arbiter:
 
     def seed_estimates(self) -> None:
         """Seed every tenant's admission estimate from leased planning."""
-        for name in sorted(self.tenants):
+        for tenant in sorted(self.fleet, key=lambda t: t.name):
             self.admission.seed_estimate(
-                name, self._planning_estimate(self.tenants[name])
+                tenant.name, self._planning_estimate(tenant)
             )
 
     # -- event plumbing ----------------------------------------------------
-
-    def push(self, tick: int, kind: int, a: int = -1, b: int = -1) -> None:
-        self._push_seq += 1
-        heapq.heappush(self.heap, (tick, kind, self._push_seq, a, b))
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
@@ -458,7 +450,7 @@ class _Arbiter:
     def _probe(self, cell: SweepCell) -> Optional[Dict[str, Any]]:
         """A previously-served answer for ``cell``, if any (no compute)."""
         key = cell_key(cell, self._salt())
-        payload = self.memo.get(key)
+        payload = self.state.memo.get(key)
         if payload is not None:
             return payload
         if self._replaying:
@@ -470,14 +462,14 @@ class _Arbiter:
         if self.cache is not None and self.cache.contains(cell):
             payload = self.cache.get(cell)
             if payload is not None:
-                self.memo[key] = payload
+                self.state.memo[key] = payload
             return payload
         return None
 
     def _execute(self, cell: SweepCell) -> Tuple[Dict[str, Any], bool]:
         """The answer for ``cell``: memo, then read-through cache."""
         key = cell_key(cell, self._salt())
-        memoised = self.memo.get(key)
+        memoised = self.state.memo.get(key)
         if memoised is not None:
             return memoised, True
         if self.cache is not None and not self._replaying:
@@ -492,7 +484,7 @@ class _Arbiter:
             payload, hit = execute_cell(cell).to_json_dict(), False
             if self.cache is not None:
                 self.cache.put(cell, payload)
-        self.memo[key] = payload
+        self.state.memo[key] = payload
         return payload, hit
 
     def _salt(self) -> str:
@@ -514,11 +506,10 @@ class _Arbiter:
     # -- the event loop ----------------------------------------------------
 
     def run(self) -> ServiceReport:
-        self.requests = list(
+        state = self.state
+        state.requests.extend(
             generate_requests(
-                list(self.tenants.values()),
-                self.config.duration,
-                self.config.seed,
+                self.fleet, self.config.duration, self.config.seed
             )
         )
         self.journal.write(
@@ -530,29 +521,35 @@ class _Arbiter:
                 "seed": self.config.seed,
                 "duration": self.config.duration,
                 "num_acs": self.config.num_acs,
-                "tenants": sorted(self.tenants),
+                "tenants": sorted(tenant.name for tenant in self.fleet),
             }
         )
         self.seed_estimates()
-        for index, request in enumerate(self.requests):
-            self.push(request.arrival, _ARRIVAL, index)
+        for request in state.requests:
+            state.clock.push(request.arrival, _ARRIVAL, request.seq)
         for tick in self.config.fault_ticks:
-            self.push(tick, _FAULT)
-        for index, _event in enumerate(self.controls):
-            self.push(self.controls[index].tick, _CONTROL, index)
-        return self._run_loop()
+            state.clock.push(tick, _FAULT)
+        for index, event in enumerate(self.controls):
+            state.clock.push(event.tick, _CONTROL, index)
+        return self.run_loop()
 
-    def run_recovered(self) -> ServiceReport:
-        """Resume a restored timeline: the heap already holds the rest."""
-        return self._run_loop()
-
-    def _run_loop(self) -> ServiceReport:
-        while self.heap:
-            tick, kind, _seq, a, b = heapq.heappop(self.heap)
-            now = self.end_tick = max(self.end_tick, tick)
+    def run_loop(self) -> ServiceReport:
+        """Process the event heap to exhaustion (also the entry point of
+        a run resumed from a decoded snapshot state)."""
+        state = self.state
+        clock = state.clock
+        every = (
+            self.config.snapshot_every
+            if self._journal_path is not None
+            else 0
+        )
+        while clock.heap:
+            tick, kind, _seq, a, b = heapq.heappop(clock.heap)
+            previous = clock.tick
+            now = clock.tick = max(previous, tick)
             if self._crash_at is not None and now >= self._crash_at:
                 self._crash(now)
-            transition = self.breaker.poll(now)
+            transition = state.breaker.poll(now)
             if transition is not None:
                 self._breaker_event(now, transition)
             if kind == _FAULT:
@@ -562,23 +559,24 @@ class _Arbiter:
             elif kind == _COMPLETE:
                 self._on_complete(now, a, b)
             elif kind == _ARRIVAL:
-                self._on_arrival(now, self.requests[a])
+                self._on_arrival(now, state.requests[a])
             # _DISPATCH events carry no payload: the dispatch pass below
             # runs after *every* event anyway; the heap entry only
             # guarantees the loop wakes up when a backoff gate opens.
             self._dispatch(now)
+            # Snapshot when the clock crosses a multiple of the cadence,
+            # once recovery has re-verified the whole journal tail.
             if (
-                self._journal_path is not None
-                and self.config.snapshot_every > 0
-                and not self._replaying
-                and now >= self._next_snapshot
-                and self.heap
+                every
+                and now // every > previous // every
+                and clock.heap
+                and self.journal.tail_remaining() == 0
             ):
                 self._write_snapshot(now)
-        if self.queue or self.running:
+        if state.queue or state.running:
             raise ServiceError(
-                f"arbiter drained its event heap with {len(self.queue)} "
-                f"queued and {len(self.running)} running requests left"
+                f"arbiter drained its event heap with {len(state.queue)} "
+                f"queued and {len(state.running)} running requests left"
             )
         return self._report()
 
@@ -598,7 +596,7 @@ class _Arbiter:
     # -- event handlers ----------------------------------------------------
 
     def _shed(self, now: int, request: ServiceRequest, reason: str) -> None:
-        stats = self.stats[request.tenant]
+        stats = self.state.stats[request.tenant]
         stats.shed[reason] = stats.shed.get(reason, 0) + 1
         self._count(f"service.shed.{reason}")
         if self.tracer.enabled:
@@ -621,10 +619,10 @@ class _Arbiter:
         )
 
     def _on_arrival(self, now: int, request: ServiceRequest) -> None:
-        stats = self.stats[request.tenant]
+        stats = self.state.stats[request.tenant]
         stats.submitted += 1
         self._count("service.submitted")
-        if request.tenant in self.draining:
+        if request.tenant in self.state.draining:
             # Graceful drain: a leaving tenant's new arrivals are shed
             # before any cache probe — the tenant is *going away*, not
             # entitled to admission-free answers.
@@ -644,9 +642,9 @@ class _Arbiter:
                 digest=self._digest(payload),
             )
             record.started = now
-            record.index = len(self.records)
-            self.records.append(record)
-            self.running.append(record)
+            record.index = len(self.state.records)
+            self.state.records.append(record)
+            self.state.running.append(record)
             self.journal.write(
                 {
                     "kind": "hit",
@@ -655,7 +653,7 @@ class _Arbiter:
                     "request": request.request_id,
                 }
             )
-            self.push(
+            self.state.clock.push(
                 now + _HIT_LATENCY_TICKS,
                 _COMPLETE,
                 record.index,
@@ -665,11 +663,11 @@ class _Arbiter:
         reason = self.admission.admit(
             request,
             now,
-            queue_depth=len(self.queue),
-            backlog_ticks=sum(r.est_ticks for r in self.queue),
+            queue_depth=len(self.state.queue),
+            backlog_ticks=sum(r.est_ticks for r in self.state.queue),
             capacity_slots=max(
                 1,
-                self.fabric.usable_acs // max(1, request.lease_acs),
+                self.state.leases.usable // max(1, request.lease_acs),
             ),
         )
         if reason is not None:
@@ -681,9 +679,9 @@ class _Arbiter:
             request=request,
             est_ticks=self.admission.estimate(request.tenant),
         )
-        record.index = len(self.records)
-        self.records.append(record)
-        self.queue.append(record)
+        record.index = len(self.state.records)
+        self.state.records.append(record)
+        self.state.queue.append(record)
         if self.tracer.enabled:
             self.tracer.emit(
                 RequestAdmitted(
@@ -707,14 +705,10 @@ class _Arbiter:
         )
 
     def _on_fault(self, now: int) -> None:
-        alive = [
-            c.index for c in self.fabric.containers if not c.is_faulty
-        ]
-        if not alive:
+        index = self.state.leases.kill_lowest()
+        if index is None:
             return
-        index = alive[0]
-        self.fabric.kill_container(index)
-        self.faults += 1
+        self.state.faults += 1
         self._count("service.faults")
         if self.tracer.enabled:
             self.tracer.emit(
@@ -723,7 +717,7 @@ class _Arbiter:
         self.journal.write(
             {"kind": "fault", "tick": now, "container": index}
         )
-        transition = self.breaker.on_fault(now)
+        transition = self.state.breaker.on_fault(now)
         if transition is not None:
             self._breaker_event(now, transition)
         self._preempt_overcommitted(now, "fault")
@@ -731,18 +725,11 @@ class _Arbiter:
     def _preempt_overcommitted(self, now: int, reason: str) -> None:
         """Shrunken fabric: force-preempt the lowest-priority leases
         until the granted leases fit the remaining capacity again."""
-        while self.fabric.overcommitted_acs > 0:
-            holders = [r for r in self.running if r.holds_lease]
+        while self.state.leases.overcommitted > 0:
+            holders = [r for r in self.state.running if r.holds_lease]
             if not holders:
                 break
-            holders.sort(
-                key=lambda r: (
-                    r.request.priority,
-                    -r.request.deadline,
-                    -r.request.seq,
-                )
-            )
-            self._preempt(holders[0], now, reason)
+            self._preempt(min(holders, key=_victim_order), now, reason)
 
     # -- live reconfiguration ----------------------------------------------
 
@@ -759,8 +746,7 @@ class _Arbiter:
     def _control_join(self, now: int, event: ControlEvent) -> None:
         spec = event.spec
         assert spec is not None  # validate_control_events enforced it
-        self.tenants[spec.name] = spec
-        self.stats[spec.name] = TenantStats(
+        self.state.stats[spec.name] = TenantStats(
             name=spec.name, priority=spec.priority
         )
         self.admission.add_tenant(spec)
@@ -791,32 +777,18 @@ class _Arbiter:
         # numbers continue from the current request table, so the
         # stream — and every arbitration tie-break — is a pure function
         # of (fleet, config, control schedule).
-        rng = random.Random(f"{self.config.seed}:{spec.name}")
-        low = max(1, spec.mean_gap // 2)
-        high = max(low, spec.mean_gap * 3 // 2)
-        tick = now + low + rng.randrange(high - low + 1)
-        counter = 0
-        while tick < self.config.duration:
-            hot_spot = spec.hot_spots[rng.randrange(len(spec.hot_spots))]
-            variant = rng.randrange(spec.variants)
-            request = ServiceRequest(
-                tenant=spec.name,
-                request_id=f"{spec.name}-r{counter:04d}",
-                hot_spot=hot_spot,
-                variant=variant,
-                arrival=tick,
-                deadline=tick + spec.deadline_slack,
-                lease_acs=spec.lease_acs,
-                priority=spec.priority_rank,
-                seq=len(self.requests),
-            )
-            self.requests.append(request)
-            self.push(tick, _ARRIVAL, request.seq)
-            counter += 1
-            tick += low + rng.randrange(high - low + 1)
+        for request in generate_requests(
+            [spec],
+            self.config.duration,
+            self.config.seed,
+            start=now,
+            first_seq=len(self.state.requests),
+        ):
+            self.state.requests.append(request)
+            self.state.clock.push(request.arrival, _ARRIVAL, request.seq)
 
     def _control_leave(self, now: int, event: ControlEvent) -> None:
-        self.draining.add(event.name)
+        self.state.draining.add(event.name)
         self._count("service.tenants_leaving")
         self.journal.write(
             {
@@ -829,7 +801,7 @@ class _Arbiter:
         self._check_drained(now, event.name)
 
     def _control_ac_add(self, now: int, event: ControlEvent) -> None:
-        self.fabric.add_containers(event.count)
+        self.state.leases.num_acs += event.count
         self._count("service.acs_added", event.count)
         self.journal.write(
             {
@@ -837,28 +809,23 @@ class _Arbiter:
                 "action": "ac_add",
                 "tick": now,
                 "count": event.count,
-                "num_acs": self.fabric.num_acs,
+                "num_acs": self.state.leases.num_acs,
             }
         )
 
     def _control_ac_remove(self, now: int, event: ControlEvent) -> None:
+        leases = self.state.leases
         for _ in range(event.count):
-            candidates = [
-                c.index
-                for c in self.fabric.containers
-                if not c.is_faulty
-            ]
-            if not candidates:
+            index = leases.retire_highest()  # stale-victim style
+            if index is None:
                 break
-            index = candidates[-1]  # stale-victim style: highest live
-            self.fabric.retire_container(index)
             self._count("service.acs_retired")
             if self.tracer.enabled:
                 self.tracer.emit(
                     AcRetired(
                         cycle=now,
                         index=index,
-                        usable_acs=self.fabric.usable_acs,
+                        usable_acs=leases.usable,
                     )
                 )
             self.journal.write(
@@ -867,21 +834,21 @@ class _Arbiter:
                     "action": "ac_remove",
                     "tick": now,
                     "container": index,
-                    "usable_acs": self.fabric.usable_acs,
+                    "usable_acs": leases.usable,
                 }
             )
         self._preempt_overcommitted(now, "retire")
 
     def _check_drained(self, now: int, name: str) -> None:
         """Emit the drain completion once a leaver has no work left."""
-        if name not in self.draining or name in self.drained:
+        if name not in self.state.draining or name in self.state.drained:
             return
-        if any(r.request.tenant == name for r in self.queue):
+        if any(r.request.tenant == name for r in self.state.queue):
             return
-        if any(r.request.tenant == name for r in self.running):
+        if any(r.request.tenant == name for r in self.state.running):
             return
-        self.drained.add(name)
-        completed = self.stats[name].completed
+        self.state.drained.add(name)
+        completed = self.state.stats[name].completed
         self._count("service.tenants_drained")
         if self.tracer.enabled:
             self.tracer.emit(
@@ -899,13 +866,13 @@ class _Arbiter:
         )
 
     def _on_complete(self, now: int, index: int, epoch: int) -> None:
-        record = self.records[index]
+        record = self.state.records[index]
         if record.status != "running" or record.epoch != epoch:
             return  # stale completion of a preempted dispatch
         record.status = "done"
         record.completed = now
         request = record.request
-        stats = self.stats[request.tenant]
+        stats = self.state.stats[request.tenant]
         latency = now - request.arrival
         stats.latencies.append(latency)
         stats.completions.append(
@@ -928,15 +895,15 @@ class _Arbiter:
                 stats.degraded += 1
                 self._count("service.degraded")
         if record.holds_lease:
-            self.fabric.release_acs(request.lease_acs)
+            self.state.leases.release(request.lease_acs)
             record.holds_lease = False
             self.admission.observe_service_ticks(
                 request.tenant, record.service_ticks
             )
-            transition = self.breaker.on_success(now)
+            transition = self.state.breaker.on_success(now)
             if transition is not None:
                 self._breaker_event(now, transition)
-        self.running.remove(record)
+        self.state.running.remove(record)
         self._observe("service.latency_ticks", float(latency))
         if self.tracer.enabled:
             self.tracer.emit(
@@ -971,7 +938,7 @@ class _Arbiter:
                 BreakerTransition(
                     cycle=now,
                     state=state,
-                    faults=self.breaker.faults_in_window(now),
+                    faults=self.state.breaker.faults_in_window(now),
                 )
             )
         self.journal.write(
@@ -982,7 +949,7 @@ class _Arbiter:
 
     def _dispatch(self, now: int) -> None:
         while True:
-            eligible = [r for r in self.queue if r.not_before <= now]
+            eligible = [r for r in self.state.queue if r.not_before <= now]
             if not eligible:
                 return
             eligible.sort(
@@ -995,65 +962,56 @@ class _Arbiter:
             head = eligible[0]
             lease = head.request.lease_acs
             if (
-                self.breaker.is_open(now)
-                or lease > self.fabric.usable_acs
+                self.state.breaker.is_open(now)
+                or lease > self.state.leases.usable
                 or lease == 0
             ):
                 self._dispatch_degraded(head, now)
                 continue
-            if lease <= self.fabric.free_acs:
+            if lease <= self.state.leases.free:
                 self._dispatch_fabric(head, now)
                 continue
             if not self._preempt_for(head, now):
                 return  # capacity busy; a completion will wake us
 
-    def _start(self, record: RequestRecord, now: int) -> None:
-        self.queue.remove(record)
-        self.running.append(record)
-        record.status = "running"
-        record.started = now
-        record.epoch += 1
-
-    def _dispatch_fabric(self, record: RequestRecord, now: int) -> None:
-        request = record.request
-        self.fabric.reserve_acs(request.lease_acs)
-        record.holds_lease = True
-        record.degraded = False
-        payload, hit = self._execute(
-            self._cell_for(request, degraded=False)
-        )
+    def _start(self, record: RequestRecord, now: int, degraded: bool) -> None:
+        """Serve ``record``'s answer and schedule its completion."""
+        record.degraded = degraded
+        payload, hit = self._execute(self._cell_for(record.request, degraded))
         record.cache_hit = record.cache_hit or hit
         record.digest = self._digest(payload)
         record.service_ticks = self._service_ticks(payload)
-        self._observe(
-            "service.service_ticks", float(record.service_ticks)
-        )
-        self._start(record, now)
-        self.push(
+        self.state.queue.remove(record)
+        self.state.running.append(record)
+        record.status = "running"
+        record.started = now
+        record.epoch += 1
+        self.state.clock.push(
             now + record.service_ticks,
             _COMPLETE,
             record.index,
             record.epoch,
         )
 
+    def _dispatch_fabric(self, record: RequestRecord, now: int) -> None:
+        self.state.leases.reserve(record.request.lease_acs)
+        record.holds_lease = True
+        self._start(record, now, degraded=False)
+        self._observe(
+            "service.service_ticks", float(record.service_ticks)
+        )
+
     def _dispatch_degraded(self, record: RequestRecord, now: int) -> None:
         request = record.request
-        if self.breaker.is_open(now):
+        if self.state.breaker.is_open(now):
             reason = "breaker_open"
-        elif request.lease_acs > self.fabric.usable_acs:
+        elif request.lease_acs > self.state.leases.usable:
             reason = "capacity_lost"
         else:
             reason = "cisa_tenant"
-        record.degraded = True
         record.degrade_reason = reason
         record.holds_lease = False
-        payload, hit = self._execute(
-            self._cell_for(request, degraded=True)
-        )
-        record.cache_hit = record.cache_hit or hit
-        record.digest = self._digest(payload)
-        record.service_ticks = self._service_ticks(payload)
-        self._start(record, now)
+        self._start(record, now, degraded=True)
         if self.tracer.enabled:
             self.tracer.emit(
                 DegradedServed(
@@ -1072,30 +1030,18 @@ class _Arbiter:
                 "reason": reason,
             }
         )
-        self.push(
-            now + record.service_ticks,
-            _COMPLETE,
-            record.index,
-            record.epoch,
-        )
 
     def _preempt_for(self, head: RequestRecord, now: int) -> bool:
         """Free capacity for ``head`` by preempting lower priorities."""
-        needed = head.request.lease_acs - self.fabric.free_acs
+        needed = head.request.lease_acs - self.state.leases.free
         victims = [
             r
-            for r in self.running
+            for r in self.state.running
             if r.holds_lease
             and r.preemptions < self.config.max_preemptions
             and r.request.priority < head.request.priority
         ]
-        victims.sort(
-            key=lambda r: (
-                r.request.priority,
-                -r.request.deadline,
-                -r.request.seq,
-            )
-        )
+        victims.sort(key=_victim_order)
         chosen: List[RequestRecord] = []
         freed = 0
         for victim in victims:
@@ -1113,7 +1059,7 @@ class _Arbiter:
         self, record: RequestRecord, now: int, reason: str
     ) -> None:
         request = record.request
-        self.fabric.release_acs(request.lease_acs)
+        self.state.leases.release(request.lease_acs)
         record.holds_lease = False
         record.status = "queued"
         record.epoch += 1  # invalidate the scheduled completion
@@ -1127,16 +1073,16 @@ class _Arbiter:
                         self.config.backoff_factor,
                         record.preemptions,
                         jitter=self.config.backoff_jitter,
-                        rng=self.rng,
+                        rng=self.state.rng,
                     )
                 )
             ),
         )
         record.not_before = now + backoff
-        self.running.remove(record)
-        self.queue.append(record)
-        self.push(record.not_before, _DISPATCH)
-        stats = self.stats[request.tenant]
+        self.state.running.remove(record)
+        self.state.queue.append(record)
+        self.state.clock.push(record.not_before, _DISPATCH)
+        stats = self.state.stats[request.tenant]
         stats.preemptions += 1
         self._count("service.preemptions")
         if self.tracer.enabled:
@@ -1161,226 +1107,37 @@ class _Arbiter:
             }
         )
 
-    # -- snapshot / restore ------------------------------------------------
-
-    _RECORD_FIELDS = (
-        "status",
-        "admitted",
-        "index",
-        "est_ticks",
-        "not_before",
-        "preemptions",
-        "epoch",
-        "started",
-        "completed",
-        "degraded",
-        "cache_hit",
-        "holds_lease",
-        "service_ticks",
-        "digest",
-        "degrade_reason",
-    )
-
-    def _capture_state(self, now: int) -> Dict[str, Any]:
-        """The complete mutable state of the run at ``now`` (JSON-able).
-
-        Captured *between* heap events: the heap holds everything still
-        pending, so restoring this dict and re-entering the loop is the
-        exact continuation of the original run.
-        """
-        rng_state = self.rng.getstate()
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "salt": self._salt(),
-            "fingerprint": self.fingerprint,
-            "tick": now,
-            "journal_offset": self.journal.offset,
-            "journal_sha": self.journal.digest(),
-            "end_tick": self.end_tick,
-            "push_seq": self._push_seq,
-            "heap": [list(entry) for entry in self.heap],
-            "requests": [
-                dataclasses.asdict(request) for request in self.requests
-            ],
-            "records": [
-                dict(
-                    {"seq": record.request.seq},
-                    **{
-                        name: getattr(record, name)
-                        for name in self._RECORD_FIELDS
-                    },
-                )
-                for record in self.records
-            ],
-            "queue": [record.index for record in self.queue],
-            "running": [record.index for record in self.running],
-            "active_tenants": sorted(self.tenants),
-            "stats": {
-                name: {
-                    "priority": stats.priority,
-                    "submitted": stats.submitted,
-                    "admitted": stats.admitted,
-                    "completed": stats.completed,
-                    "degraded": stats.degraded,
-                    "cache_hits": stats.cache_hits,
-                    "preemptions": stats.preemptions,
-                    "shed": stats.shed,
-                    "latencies": stats.latencies,
-                    "completions": stats.completions,
-                }
-                for name, stats in self.stats.items()
-            },
-            "admission": {
-                name: {
-                    "tokens": ledger.bucket.tokens,
-                    "bucket_last": ledger.bucket._last,
-                    "in_flight": ledger.in_flight,
-                    "leased_atoms": ledger.leased_atoms,
-                    "est_ticks": ledger.est_ticks,
-                }
-                for name, ledger in (
-                    (name, self.admission.ledger_for(name))
-                    for name in sorted(self.tenants)
-                )
-            },
-            "breaker": {
-                "trips": self.breaker.trips,
-                "state": self.breaker.state,
-                "open_until": self.breaker._open_until,
-                "faults": list(self.breaker._faults),
-            },
-            "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
-            "memo": self.memo,
-            "fabric": {
-                "num_acs": self.fabric.num_acs,
-                "dead": list(self.fabric.dead_indices),
-                "retired": list(self.fabric.retired_indices),
-                "reserved": self.fabric.reserved_acs,
-            },
-            "faults": self.faults,
-            "draining": sorted(self.draining),
-            "drained": sorted(self.drained),
-        }
+    # -- snapshot ----------------------------------------------------------
 
     def _write_snapshot(self, now: int) -> None:
+        """Persist the declared state, anchored to the journal so far.
+
+        Written *between* heap events: the heap holds everything still
+        pending, so decoding the state and re-entering the loop is the
+        exact continuation of this run.
+        """
         assert self._journal_path is not None
-        state = self._capture_state(now)
+        offset = self.journal.offset
         path = write_snapshot(
-            self._journal_path, state, fsync=self._fsync
+            self._journal_path,
+            {
+                "format": SNAPSHOT_FORMAT,
+                "salt": self._salt(),
+                "fingerprint": self.fingerprint,
+                "tick": now,
+                "journal_offset": offset,
+                "journal_sha": self.journal.digest(),
+                "state": encode_state(self.state),
+            },
+            fsync=self._fsync,
         )
-        self._next_snapshot = now + self.config.snapshot_every
         self._count("service.snapshots")
         if self.tracer.enabled:
             self.tracer.emit(
                 SnapshotWritten(
-                    cycle=now,
-                    tick=now,
-                    path=str(path),
-                    journal_offset=int(state["journal_offset"]),
+                    cycle=now, tick=now, path=str(path), journal_offset=offset
                 )
             )
-
-    def _restore_state(self, state: Dict[str, Any]) -> None:
-        """Rebuild the arbiter from a validated snapshot dict.
-
-        Immutable structure (tenant specs) is *re-derived* from the
-        initial fleet plus the control schedule's join specs; only
-        mutable state is deserialised.
-        """
-        spec_by_name: Dict[str, TenantSpec] = dict(self.tenants)
-        for event in self.controls:
-            if event.action == "tenant_join" and event.spec is not None:
-                spec_by_name[event.name] = event.spec
-        try:
-            active: List[str] = list(state["active_tenants"])
-            self.tenants = {
-                name: spec_by_name[name] for name in active
-            }
-            self.requests = [
-                ServiceRequest(**raw) for raw in state["requests"]
-            ]
-            by_seq = {
-                request.seq: request for request in self.requests
-            }
-            self.records = []
-            for raw in state["records"]:
-                record = RequestRecord(request=by_seq[raw["seq"]])
-                for name in self._RECORD_FIELDS:
-                    setattr(record, name, raw[name])
-                self.records.append(record)
-            self.queue = [self.records[i] for i in state["queue"]]
-            self.running = [self.records[i] for i in state["running"]]
-            self.heap = [
-                (
-                    int(e[0]),
-                    int(e[1]),
-                    int(e[2]),
-                    int(e[3]),
-                    int(e[4]),
-                )
-                for e in state["heap"]
-            ]
-            self._push_seq = int(state["push_seq"])
-            self.end_tick = int(state["end_tick"])
-            self.faults = int(state["faults"])
-            self.draining = set(state["draining"])
-            self.drained = set(state["drained"])
-            self.memo = dict(state["memo"])
-            self.stats = {}
-            for name, raw_stats in state["stats"].items():
-                stats = TenantStats(
-                    name=name, priority=raw_stats["priority"]
-                )
-                stats.submitted = raw_stats["submitted"]
-                stats.admitted = raw_stats["admitted"]
-                stats.completed = raw_stats["completed"]
-                stats.degraded = raw_stats["degraded"]
-                stats.cache_hits = raw_stats["cache_hits"]
-                stats.preemptions = raw_stats["preemptions"]
-                stats.shed = dict(raw_stats["shed"])
-                stats.latencies = list(raw_stats["latencies"])
-                stats.completions = list(raw_stats["completions"])
-                self.stats[name] = stats
-            self.admission = AdmissionController(
-                [spec_by_name[name] for name in active],
-                queue_limit=self.config.queue_limit,
-                default_est_ticks=_DEFAULT_EST_TICKS,
-            )
-            for name, raw_ledger in state["admission"].items():
-                ledger = self.admission.ledger_for(name)
-                ledger.bucket.tokens = int(raw_ledger["tokens"])
-                ledger.bucket._last = int(raw_ledger["bucket_last"])
-                ledger.in_flight = int(raw_ledger["in_flight"])
-                ledger.leased_atoms = int(raw_ledger["leased_atoms"])
-                ledger.est_ticks = int(raw_ledger["est_ticks"])
-            raw_breaker = state["breaker"]
-            self.breaker.trips = int(raw_breaker["trips"])
-            self.breaker._state = str(raw_breaker["state"])
-            self.breaker._open_until = int(raw_breaker["open_until"])
-            self.breaker._faults = [
-                int(t) for t in raw_breaker["faults"]
-            ]
-            raw_rng = state["rng"]
-            self.rng.setstate(
-                (raw_rng[0], tuple(raw_rng[1]), raw_rng[2])
-            )
-            raw_fabric = state["fabric"]
-            self.fabric = Fabric(self._registry(), self.config.num_acs)
-            grown = int(raw_fabric["num_acs"]) - self.config.num_acs
-            if grown > 0:
-                self.fabric.add_containers(grown)
-            for index in raw_fabric["dead"]:
-                self.fabric.kill_container(int(index))
-            for index in raw_fabric["retired"]:
-                self.fabric.retire_container(int(index))
-            # Leases are restored verbatim: reserve_acs() would reject
-            # the over-committed case a fault storm legitimately leaves
-            # behind, so the counter is set directly.
-            self.fabric._reserved = int(raw_fabric["reserved"])
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise RecoveryError(
-                f"snapshot is structurally invalid: {exc!r}"
-            ) from exc
 
     # -- reporting ---------------------------------------------------------
 
@@ -1388,10 +1145,10 @@ class _Arbiter:
         report = ServiceReport(
             duration=self.config.duration,
             num_acs=self.config.num_acs,
-            end_tick=self.end_tick,
-            tenants=self.stats,
-            breaker_trips=self.breaker.trips,
-            faults=self.faults,
+            end_tick=self.state.clock.tick,
+            tenants=self.state.stats,
+            breaker_trips=self.state.breaker.trips,
+            faults=self.state.faults,
             journal_digest=self.journal.digest(),
         )
         if report.dropped_admitted != 0:
@@ -1516,14 +1273,9 @@ def recover_service(
             f"cannot recover: journal header is not valid JSON: {exc}"
         ) from exc
     salt = cache.salt if cache is not None else CODE_VERSION_SALT
-    ordered_controls = [
-        event
-        for _, event in sorted(
-            enumerate(control_events),
-            key=lambda item: (item[1].tick, item[0]),
-        )
-    ]
-    fingerprint = config_fingerprint(tenants, config, ordered_controls)
+    fingerprint = config_fingerprint(
+        tenants, config, ordered_controls(control_events)
+    )
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise RecoveryError(
             "cannot recover: journal does not start with a header line"
@@ -1544,25 +1296,27 @@ def recover_service(
             "cannot recover: config fingerprint mismatch — the fleet, "
             "config or control schedule differs from the crashed run"
         )
-    state = load_latest_snapshot(
+    snapshot = load_latest_snapshot(
         path, salt=salt, fingerprint=fingerprint, journal_bytes=data
     )
     resolved_tracer = tracer if tracer is not None else NULL_TRACER
-    if state is not None:
-        offset = int(state["journal_offset"])
-        tail = data[offset:].decode("ascii").splitlines()
-        journal = _ServiceJournal.for_recovery(
-            path, prefix=data[:offset], tail=tail, fsync=fsync
-        )
-        source = "snapshot"
-        resume_tick = int(state["tick"])
-    else:
-        tail = lines
-        journal = _ServiceJournal.for_recovery(
-            path, prefix=b"", tail=tail, fsync=fsync
-        )
-        source = "replay"
-        resume_tick = 0
+    state: Optional[ArbiterState] = None
+    offset = resume_tick = 0
+    if snapshot is not None:
+        try:
+            state = decode_state(snapshot["state"])
+        except (
+            AttributeError, KeyError, IndexError, TypeError, ValueError
+        ) as exc:
+            raise RecoveryError(
+                f"snapshot is structurally invalid: {exc!r}"
+            ) from exc
+        offset = int(snapshot["journal_offset"])
+        resume_tick = int(snapshot["tick"])
+    tail = data[offset:].decode("ascii").splitlines()
+    journal = _ServiceJournal.for_recovery(
+        path, prefix=data[:offset], tail=tail, fsync=fsync
+    )
     try:
         arbiter = _Arbiter(
             tenants=tenants,
@@ -1572,22 +1326,21 @@ def recover_service(
             metrics=metrics,
             journal=journal,
             control_events=control_events,
+            state=state,
+            journal_path=path,
+            fsync=fsync,
+            replaying=True,
         )
-        arbiter._replaying = True
         if resolved_tracer.enabled:
             resolved_tracer.emit(
                 ServiceRecovered(
                     cycle=resume_tick,
-                    source=source,
+                    source="replay" if state is None else "snapshot",
                     resume_tick=resume_tick,
                     tail_lines=len(tail),
                 )
             )
-        if state is not None:
-            arbiter._restore_state(state)
-            report = arbiter.run_recovered()
-        else:
-            report = arbiter.run()
+        report = arbiter.run() if state is None else arbiter.run_loop()
         if journal.tail_remaining() > 0:
             raise RecoveryError(
                 f"recovery finished with {journal.tail_remaining()} "

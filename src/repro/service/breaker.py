@@ -8,11 +8,14 @@ answers instead of failing requests.  After ``cooldown`` ticks it moves
 to *half-open* — the next fabric completion closes it, the next fault
 re-opens it immediately.
 
-Pure integer state machine: no wall clock, no randomness.
+Pure integer state machine: no wall clock, no randomness.  It is a
+dataclass because it is part of the arbiter's declared run state
+(:mod:`repro.service.state`): every field is snapshotted.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..errors import ServiceError
@@ -20,56 +23,52 @@ from ..errors import ServiceError
 __all__ = ["CircuitBreaker"]
 
 
+@dataclass
 class CircuitBreaker:
     """CLOSED / OPEN / HALF_OPEN over a sliding fault window."""
 
-    def __init__(
-        self, threshold: int = 3, window: int = 400, cooldown: int = 800
-    ) -> None:
-        if threshold < 1 or window < 1 or cooldown < 1:
+    threshold: int = 3
+    window: int = 400
+    cooldown: int = 800
+    trips: int = 0
+    #: ``closed`` | ``open`` | ``half_open``.
+    state: str = "closed"
+    #: Tick at which an open breaker turns half-open.
+    open_until: int = -1
+    #: Fault ticks inside the sliding window.
+    faults: List[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.threshold < 1 or self.window < 1 or self.cooldown < 1:
             raise ServiceError(
                 f"breaker needs threshold/window/cooldown >= 1, got "
-                f"{threshold}/{window}/{cooldown}"
+                f"{self.threshold}/{self.window}/{self.cooldown}"
             )
-        self.threshold = int(threshold)
-        self.window = int(window)
-        self.cooldown = int(cooldown)
-        self.trips = 0
-        self._state = "closed"
-        self._open_until = -1
-        self._faults: List[int] = []
-
-    @property
-    def state(self) -> str:
-        return self._state
 
     def is_open(self, now: int) -> bool:
         self.poll(now)
-        return self._state == "open"
+        return self.state == "open"
 
     def faults_in_window(self, now: int) -> int:
-        return sum(1 for t in self._faults if t > now - self.window)
+        return sum(1 for t in self.faults if t > now - self.window)
 
     def poll(self, now: int) -> Optional[str]:
         """Advance time; returns ``"half_open"`` on that transition."""
-        if self._state == "open" and now >= self._open_until:
-            self._state = "half_open"
+        if self.state == "open" and now >= self.open_until:
+            self.state = "half_open"
             return "half_open"
         return None
 
     def on_fault(self, now: int) -> Optional[str]:
         """Record a container fault; returns ``"open"`` when tripping."""
         self.poll(now)
-        self._faults = [
-            t for t in self._faults if t > now - self.window
-        ]
-        self._faults.append(now)
-        if self._state == "half_open" or (
-            self._state == "closed"
-            and len(self._faults) >= self.threshold
+        self.faults = [t for t in self.faults if t > now - self.window]
+        self.faults.append(now)
+        if self.state == "half_open" or (
+            self.state == "closed" and len(self.faults) >= self.threshold
         ):
-            self._state = "open"
-            self._open_until = now + self.cooldown
+            self.state = "open"
+            self.open_until = now + self.cooldown
             self.trips += 1
             return "open"
         return None
@@ -77,14 +76,8 @@ class CircuitBreaker:
     def on_success(self, now: int) -> Optional[str]:
         """Record a fabric success; closes a half-open breaker."""
         self.poll(now)
-        if self._state == "half_open":
-            self._state = "closed"
-            self._faults.clear()
+        if self.state == "half_open":
+            self.state = "closed"
+            self.faults.clear()
             return "closed"
         return None
-
-    def __repr__(self) -> str:
-        return (
-            f"CircuitBreaker({self._state}, {len(self._faults)} faults "
-            f"in window, {self.trips} trips)"
-        )

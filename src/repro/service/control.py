@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ServiceError
 from ..exec.spec import WorkloadSpec
@@ -37,6 +37,7 @@ __all__ = [
     "ControlEvent",
     "parse_reconfig_spec",
     "derive_join_tenant",
+    "ordered_controls",
     "validate_control_events",
 ]
 
@@ -184,6 +185,12 @@ def derive_join_tenant(
     )
 
 
+def ordered_controls(events: Sequence[ControlEvent]) -> List[ControlEvent]:
+    """Control events in processing order: by tick, then by position in
+    the caller's list (the sort is stable)."""
+    return sorted(events, key=lambda event: event.tick)
+
+
 def validate_control_events(
     initial_tenants: Sequence[str],
     events: Sequence[ControlEvent],
@@ -198,8 +205,7 @@ def validate_control_events(
     """
     active = set(initial_tenants)
     ever = set(initial_tenants)
-    ordered = sorted(enumerate(events), key=lambda e: (e[1].tick, e[0]))
-    for _, event in ordered:
+    for event in ordered_controls(events):
         if event.action == "tenant_join":
             if event.spec is None:
                 raise ServiceError(

@@ -76,13 +76,21 @@ class RequestRecord:
 
 
 def generate_requests(
-    tenants: Sequence[TenantSpec], duration: int, seed: int
+    tenants: Sequence[TenantSpec],
+    duration: int,
+    seed: int,
+    start: int = 0,
+    first_seq: int = 0,
 ) -> Tuple[ServiceRequest, ...]:
-    """The full deterministic request stream of one service run.
+    """The deterministic request stream of ``tenants`` from ``start``
+    until ``duration``, numbered from ``first_seq``.
 
     Each tenant gets its own generator seeded from ``seed`` and the
     tenant *name* (not its fleet position), so adding a tenant never
-    perturbs the other tenants' streams.  Arrival gaps are uniform in
+    perturbs the other tenants' streams — the initial fleet's stream
+    (``start=0``) and a tenant joining mid-run (``start`` = the join
+    tick, ``first_seq`` = the requests generated so far) come from this
+    one function.  Arrival gaps are uniform in
     ``[mean_gap/2, 3*mean_gap/2]``; the merged stream is ordered by
     ``(arrival, tenant, per-tenant counter)`` and numbered globally.
     """
@@ -91,7 +99,7 @@ def generate_requests(
         rng = random.Random(f"{seed}:{tenant.name}")
         low = max(1, tenant.mean_gap // 2)
         high = max(low, tenant.mean_gap * 3 // 2)
-        tick = low + rng.randrange(high - low + 1)
+        tick = start + low + rng.randrange(high - low + 1)
         counter = 0
         while tick < duration:
             hot_spot = tenant.hot_spots[
@@ -114,7 +122,7 @@ def generate_requests(
     raw.sort(key=lambda item: (item[0], item[1], item[2]))
     ranks = {tenant.name: tenant.priority_rank for tenant in tenants}
     requests: List[ServiceRequest] = []
-    for seq, item in enumerate(raw):
+    for seq, item in enumerate(raw, start=first_seq):
         arrival, name, counter, hot_spot, variant, deadline, lease = item
         requests.append(
             ServiceRequest(

@@ -1,9 +1,9 @@
 """Versioned, salted, atomically-written arbiter snapshots.
 
 A snapshot is the arbiter's complete mutable state at one virtual tick
-— event heap, request table, per-tenant ledgers and stats, breaker,
-RNG, answer memo, fabric shape — plus an *anchor* into the service
-journal: the byte length of the journal prefix written so far and the
+— the generic encoding of the declared
+:class:`~repro.service.state.ArbiterState` — plus an *anchor* into the
+service journal: the byte length of the journal prefix written so far and the
 SHA-256 of exactly those bytes.  Recovery restores the newest snapshot
 whose anchor still matches the on-disk journal and re-executes from
 there, verifying every regenerated line against the journal tail.
@@ -40,8 +40,9 @@ __all__ = [
 ]
 
 #: Snapshot schema version; a bump orphans every older snapshot (they
-#: then read as invalid and recovery falls back to full replay).
-SNAPSHOT_FORMAT = 1
+#: then read as invalid and recovery falls back to full replay).  v2
+#: derives the ``state`` payload from the declared state dataclasses.
+SNAPSHOT_FORMAT = 2
 
 #: Newest snapshots kept per journal; older ones are pruned on write.
 _SNAPSHOT_KEEP = 3
@@ -93,8 +94,8 @@ def write_snapshot(
 
     ``state`` must carry the envelope keys ``format``, ``salt``,
     ``fingerprint``, ``tick``, ``journal_offset`` and ``journal_sha``
-    (the arbiter's ``_capture_state`` does); everything else is opaque
-    to this module.
+    (the arbiter's snapshot writer does); everything else is opaque to
+    this module.
     """
     directory = snapshot_dir(journal_path)
     directory.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,7 @@
 """Multi-tenant fabric arbitration service (:mod:`repro.service`).
 
 Unit tests for the building blocks (tenant specs, token bucket, circuit
-breaker, admission gates, fabric lease accounting, leased planning,
+breaker, admission gates, AC lease ledger, leased planning,
 cache read-through) plus integration tests of the arbiter: overload
 shedding taxonomy, the never-drop invariant, priority preemption,
 degraded service under fault storms, answer reuse, and bit-identical
@@ -21,7 +21,6 @@ from repro.core.schedulers import get_scheduler
 from repro.errors import CapacityError, FabricError, ServiceError
 from repro.exec.cache import ResultCache
 from repro.exec.spec import WorkloadSpec
-from repro.fabric.fabric import Fabric
 from repro.h264.silibrary import HOT_SPOT_SIS
 from repro.obs import RecordingTracer
 from repro.obs.events import (
@@ -43,6 +42,7 @@ from repro.service import (
     make_tenant_fleet,
     run_service,
 )
+from repro.service.state import LeaseLedger
 
 
 def small_fleet(num=8, mean_gap=60, deadline_slack=400):
@@ -243,7 +243,7 @@ class TestAdmission:
         tenant = _tenant()
         ctl = AdmissionController([tenant], queue_limit=8)
         assert ctl.admit(_request(tenant), 0, 0, 0, 3) is None
-        ledger = ctl.ledger_for(tenant.name)
+        ledger = ctl.ledgers[tenant.name]
         assert ledger.in_flight == 1
         assert ledger.leased_atoms == tenant.lease_acs
 
@@ -326,44 +326,47 @@ class TestAdmission:
             )
 
 
-# -- fabric lease accounting -----------------------------------------------
+# -- AC lease ledger -------------------------------------------------------
 
 
 class TestFabricLeases:
-    def test_reserve_release_cycle(self, toy_registry):
-        fabric = Fabric(toy_registry, 4)
-        fabric.reserve_acs(3)
-        assert fabric.reserved_acs == 3
-        assert fabric.free_acs == 1
-        fabric.release_acs(2)
-        assert fabric.free_acs == 3
+    """The service's AC lease ledger (leases count containers)."""
 
-    def test_over_reservation_rejected(self, toy_registry):
-        fabric = Fabric(toy_registry, 2)
-        fabric.reserve_acs(2)
+    def test_reserve_release_cycle(self):
+        leases = LeaseLedger(4)
+        leases.reserve(3)
+        assert leases.reserved == 3
+        assert leases.free == 1
+        leases.release(2)
+        assert leases.free == 3
+
+    def test_over_reservation_rejected(self):
+        leases = LeaseLedger(2)
+        leases.reserve(2)
         with pytest.raises(CapacityError):
-            fabric.reserve_acs(1)
+            leases.reserve(1)
 
-    def test_release_underflow_rejected(self, toy_registry):
-        fabric = Fabric(toy_registry, 2)
+    def test_release_underflow_rejected(self):
+        leases = LeaseLedger(2)
         with pytest.raises(FabricError):
-            fabric.release_acs(1)
+            leases.release(1)
 
-    def test_container_death_shrinks_free_capacity(self, toy_registry):
-        fabric = Fabric(toy_registry, 3)
-        fabric.reserve_acs(3)
-        fabric.kill_container(0)
-        assert fabric.usable_acs == 2
-        assert fabric.overcommitted_acs == 1
-        fabric.release_acs(1)
-        assert fabric.overcommitted_acs == 0
-        assert fabric.free_acs == 0
+    def test_container_death_shrinks_free_capacity(self):
+        leases = LeaseLedger(3)
+        leases.reserve(3)
+        assert leases.kill_lowest() == 0
+        assert leases.usable == 2
+        assert leases.overcommitted == 1
+        leases.release(1)
+        assert leases.overcommitted == 0
+        assert leases.free == 0
 
-    def test_reset_clears_reservations(self, toy_registry):
-        fabric = Fabric(toy_registry, 2)
-        fabric.reserve_acs(2)
-        fabric.reset()
-        assert fabric.reserved_acs == 0
+    def test_full_release_clears_reservations(self):
+        leases = LeaseLedger(2)
+        leases.reserve(2)
+        leases.release(2)
+        assert leases.reserved == 0
+        assert leases.free == 2
 
 
 # -- leased planning -------------------------------------------------------

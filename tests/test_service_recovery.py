@@ -24,7 +24,6 @@ import pytest
 
 from repro._atomic import atomic_write_text, trim_torn_tail
 from repro.errors import (
-    FabricError,
     RecoveryError,
     ServiceCrash,
     ServiceError,
@@ -58,6 +57,7 @@ from repro.service import (
     validate_control_events,
     write_snapshot,
 )
+from repro.service.state import LeaseLedger
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -278,6 +278,30 @@ class TestCrashRecoveryGate:
         assert 0 < recovered[0].resume_tick < 1200
         assert_identical(report, ref_report, journal, ref_journal)
 
+    def test_recovered_run_keeps_snapshotting(self, tmp_path, reference):
+        ref_report, ref_journal = reference
+        journal = tmp_path / "crash.jsonl"
+        config = soak_config(snapshot_every=250)
+        crash_run(journal, config, crash_at=600)
+        recover_service(fleet(), config, journal_path=journal)
+        ticks = [
+            json.loads(snap.read_text())["tick"]
+            for snap in list_snapshots(journal)
+        ]
+        assert max(ticks) > 600
+        # Recovering the finished journal again resumes from the
+        # snapshots the recovered run wrote past the crash.
+        tracer = RecordingTracer()
+        report = recover_service(
+            fleet(), config, journal_path=journal, tracer=tracer
+        )
+        (recovered,) = [
+            e for e in tracer if isinstance(e, ServiceRecovered)
+        ]
+        assert recovered.source == "snapshot"
+        assert recovered.resume_tick > 600
+        assert_identical(report, ref_report, journal, ref_journal)
+
     def test_snapshot_events_emitted_while_running(self, tmp_path):
         journal = tmp_path / "soak.jsonl"
         tracer = RecordingTracer()
@@ -386,6 +410,26 @@ class TestRecoveryEdges:
         for snap in list_snapshots(journal):
             snap.write_text("not json at all")
         report = recover_service(fleet(), config, journal_path=journal)
+        assert_identical(report, ref_report, journal, ref_journal)
+
+    def test_format_1_snapshots_fall_back_to_replay(
+        self, tmp_path, reference
+    ):
+        ref_report, ref_journal = reference
+        config = soak_config(snapshot_every=250)
+        journal = self.crashed_journal(tmp_path)
+        for snap in list_snapshots(journal):
+            doc = json.loads(snap.read_text())
+            doc["format"] = 1
+            snap.write_text(json.dumps(doc))
+        tracer = RecordingTracer()
+        report = recover_service(
+            fleet(), config, journal_path=journal, tracer=tracer
+        )
+        (recovered,) = [
+            e for e in tracer if isinstance(e, ServiceRecovered)
+        ]
+        assert recovered.source == "replay"
         assert_identical(report, ref_report, journal, ref_journal)
 
     def test_torn_journal_tail_is_trimmed(self, tmp_path, reference):
@@ -766,40 +810,33 @@ class TestControlEventValidation:
             )
 
 
-# -- fabric retire/add extensions ------------------------------------------
+# -- AC pool reshaping on the lease ledger ----------------------------------
 
 
 class TestFabricReshaping:
     def test_retired_containers_shrink_usable_only(self):
-        from repro.fabric.fabric import Fabric
-        from repro.h264.silibrary import build_atom_registry
-
-        fabric = Fabric(build_atom_registry(), 4)
-        fabric.retire_container(3)
-        assert fabric.usable_acs == 3
-        assert fabric.retired_count == 1
-        assert fabric.dead_count == 0
-        assert not fabric.is_degraded  # retirement is not a fault
+        leases = LeaseLedger(4)
+        assert leases.retire_highest() == 3
+        assert leases.usable == 3
+        assert leases.retired == {3}
+        assert not leases.dead  # retirement is not a fault
 
     def test_retire_dead_container_rejected(self):
-        from repro.fabric.fabric import Fabric
-        from repro.h264.silibrary import build_atom_registry
-
-        fabric = Fabric(build_atom_registry(), 2)
-        fabric.kill_container(0)
-        with pytest.raises(FabricError):
-            fabric.retire_container(0)
+        leases = LeaseLedger(2)
+        assert leases.kill_lowest() == 0
+        # Only live containers retire: the dead one is never picked.
+        assert leases.retire_highest() == 1
+        assert leases.retire_highest() is None
+        assert leases.dead == {0} and leases.retired == {1}
 
     def test_add_containers_extends_indices(self):
-        from repro.fabric.fabric import Fabric
-        from repro.h264.silibrary import build_atom_registry
-
-        fabric = Fabric(build_atom_registry(), 2)
-        assert fabric.add_containers(2) == (2, 3)
-        assert fabric.num_acs == 4
-        assert fabric.usable_acs == 4
-        with pytest.raises(FabricError):
-            fabric.add_containers(-1)
+        leases = LeaseLedger(2)
+        leases.kill_lowest()
+        leases.num_acs += 2
+        assert leases.live() == [1, 2, 3]
+        assert leases.usable == 3
+        # Faults keep taking the lowest live index, grown ones included.
+        assert leases.kill_lowest() == 1
 
 
 # -- breaker half-open pins ------------------------------------------------

@@ -1,0 +1,305 @@
+"""The arbiter's declared run state and its derived snapshot codec.
+
+Three guarantees: every field of every state dataclass survives the
+snapshot round trip (and a field added later needs no codec edit); the
+arbiter keeps no mutable attribute outside the declared state; and a
+crash at a random tick under a random live-reconfiguration schedule
+recovers to the uninterrupted run's exact journal bytes and report.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+import tempfile
+import typing
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Set, Tuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ServiceCrash
+from repro.exec.cache import canonical_json
+from repro.obs.tracer import NULL_TRACER
+from repro.service import (
+    ControlEvent,
+    RequestRecord,
+    ServiceConfig,
+    derive_join_tenant,
+    make_tenant_fleet,
+    recover_service,
+    run_service,
+)
+from repro.service.arbiter import _Arbiter, _ServiceJournal
+from repro.service.state import (
+    ArbiterState,
+    Clock,
+    decode_state,
+    encode_state,
+)
+
+
+def _sample(hint: Any, tables: Dict[Any, List[Any]], salt: int) -> Any:
+    """A non-default value of the declared type ``hint``.
+
+    Walks the type exactly as the codec does, so a field added to any
+    state dataclass gets a sample with no edit here either.  Elements of
+    a table type are drawn from ``tables`` (shared references).
+    """
+    if hint in tables:
+        return tables[hint][salt % len(tables[hint])]
+    if hint is Any:
+        return {"payload": [salt, "x", None, True]}
+    if hint is bool:
+        return True
+    if hint is int:
+        return 7 + salt
+    if hint is float:
+        return 0.5 + salt
+    if hint is str:
+        return f"s{salt}"
+    if hint is random.Random:
+        rng = random.Random(salt)
+        rng.random()
+        return rng
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(
+            **{
+                f.name: _sample(hints[f.name], tables, salt + i)
+                for i, f in enumerate(dataclasses.fields(hint))
+            }
+        )
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return _sample(inner, tables, salt)
+    if origin is tuple:
+        return tuple(_sample(arg, tables, salt + i) for i, arg in enumerate(args))
+    if origin is list:
+        return [_sample(args[0], tables, salt + i) for i in range(2)]
+    if origin is set:
+        return {_sample(args[0], tables, salt + i) for i in range(2)}
+    if origin is dict:
+        return {f"k{i}": _sample(args[1], tables, salt + i) for i in range(2)}
+    raise TypeError(f"no sample for {hint!r}")
+
+
+def _populated(root: type) -> Any:
+    """A ``root`` state with every field of every dataclass non-default."""
+    hints = typing.get_type_hints(root)
+    tables: Dict[Any, List[Any]] = {}
+    values: Dict[str, Any] = {}
+    for f in dataclasses.fields(root):
+        if f.metadata.get("table"):
+            (elem,) = typing.get_args(hints[f.name])
+            tables[elem] = values[f.name] = [
+                _sample(elem, tables, salt) for salt in range(3)
+            ]
+    for i, f in enumerate(dataclasses.fields(root)):
+        if f.name not in values:
+            values[f.name] = _sample(hints[f.name], tables, i)
+    return root(**values)
+
+
+def _round_trip(state: Any) -> Any:
+    first = canonical_json(encode_state(state))
+    decoded = decode_state(json.loads(first), type(state))
+    assert canonical_json(encode_state(decoded)) == first
+    return decoded
+
+
+def _assert_same_state(decoded: Any, original: Any) -> None:
+    for f in dataclasses.fields(original):
+        got, want = getattr(decoded, f.name), getattr(original, f.name)
+        if isinstance(want, random.Random):
+            assert got.getstate() == want.getstate(), f.name
+        else:
+            assert got == want, f.name
+
+
+class TestStateCodec:
+    def test_every_field_round_trips(self):
+        state = _populated(ArbiterState)
+        decoded = _round_trip(state)
+        _assert_same_state(decoded, state)
+        # Cross-references decode to the table's objects, not copies.
+        assert decoded.queue[0] is decoded.records[0]
+        assert decoded.records[1].request is decoded.requests[1]
+
+    def test_every_dataclass_is_written_field_for_field(self):
+        doc = encode_state(_populated(ArbiterState))
+        assert set(doc) == {f.name for f in dataclasses.fields(ArbiterState)}
+        hints = typing.get_type_hints(ArbiterState)
+        for name in ("breaker", "leases", "clock"):
+            assert set(doc[name]) == {
+                f.name for f in dataclasses.fields(hints[name])
+            }
+        record_fields = {f.name for f in dataclasses.fields(RequestRecord)}
+        assert all(set(raw) == record_fields for raw in doc["records"])
+
+    def test_added_fields_need_no_codec_edit(self):
+        extended = dataclasses.make_dataclass(
+            "ExtendedState",
+            [
+                ("extra_set", Set[int], dataclasses.field(default_factory=set)),
+                ("extra_pair", Optional[Tuple[int, str]], None),
+                (
+                    "extra_records",
+                    List[RequestRecord],
+                    dataclasses.field(default_factory=list),
+                ),
+                ("extra_clock", Clock, dataclasses.field(default_factory=Clock)),
+            ],
+            bases=(ArbiterState,),
+        )
+        state = _populated(extended)
+        assert state.extra_set and state.extra_pair and state.extra_records
+        _assert_same_state(_round_trip(state), state)
+
+    def test_sets_are_written_sorted(self):
+        state = _populated(ArbiterState)
+        state.draining = {"zeta", "alpha", "mid"}
+        assert encode_state(state)["draining"] == ["alpha", "mid", "zeta"]
+
+    def test_memo_is_passed_by_reference(self):
+        state = _populated(ArbiterState)
+        assert encode_state(state)["memo"] is state.memo
+
+    def test_unsupported_types_are_refused(self):
+        bad = dataclasses.make_dataclass(
+            "BadState", [("blob", bytes, b"")], bases=(ArbiterState,)
+        )
+        base = _populated(ArbiterState)
+        state = bad(
+            **{
+                f.name: getattr(base, f.name)
+                for f in dataclasses.fields(ArbiterState)
+            }
+        )
+        with pytest.raises(TypeError, match="cannot handle"):
+            encode_state(state)
+
+
+# -- the arbiter holds nothing mutable outside its state -------------------
+
+#: Everything an arbiter may hold besides ``state``: fixed for its
+#: lifetime (the admission controller books into ``state.ledgers``).
+WIRING = {
+    "config",
+    "fleet",
+    "tenants",
+    "cache",
+    "tracer",
+    "metrics",
+    "journal",
+    "controls",
+    "fingerprint",
+    "admission",
+    "_crash_at",
+    "_crash_mode",
+    "_journal_path",
+    "_fsync",
+    "_replaying",
+}
+
+FLEET_SIZE = 4
+SOAK = dict(num_acs=6, duration=1200, seed=2008, fault_ticks=(700, 720, 740))
+
+
+def fleet():
+    return make_tenant_fleet(FLEET_SIZE, mean_gap=60, deadline_slack=400)
+
+
+def test_arbiter_holds_only_state_and_wiring():
+    events = [
+        ControlEvent(
+            tick=300,
+            action="tenant_join",
+            name="latecomer",
+            spec=derive_join_tenant("latecomer", SOAK["seed"]),
+        ),
+        ControlEvent(tick=500, action="ac_remove", count=2),
+    ]
+    journal = _ServiceJournal(None)
+    arbiter = _Arbiter(
+        tenants=fleet(),
+        config=ServiceConfig(**SOAK),
+        cache=None,
+        tracer=NULL_TRACER,
+        metrics=None,
+        journal=journal,
+        control_events=events,
+    )
+    wiring = {name: getattr(arbiter, name) for name in WIRING}
+    tenants = dict(arbiter.tenants)
+    arbiter.run()
+    assert set(vars(arbiter)) == WIRING | {"state"}
+    for name, value in wiring.items():
+        assert getattr(arbiter, name) is value, name
+    assert arbiter.tenants == tenants
+    assert arbiter.admission.ledgers is arbiter.state.ledgers
+    assert "latecomer" in arbiter.state.ledgers
+
+
+# -- random crash under a random control schedule ---------------------------
+
+
+def _schedule(draw_actions: List[Tuple[str, int]]) -> List[ControlEvent]:
+    events = []
+    for action, tick in draw_actions:
+        if action == "tenant_join":
+            events.append(
+                ControlEvent(
+                    tick=tick,
+                    action=action,
+                    name="joiner",
+                    spec=derive_join_tenant("joiner", SOAK["seed"]),
+                )
+            )
+        elif action == "tenant_leave":
+            events.append(
+                ControlEvent(tick=tick, action=action, name="tenant00")
+            )
+        else:
+            events.append(ControlEvent(tick=tick, action=action, count=2))
+    return events
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    crash_at=st.integers(min_value=0, max_value=1100),
+    actions=st.dictionaries(
+        st.sampled_from(["tenant_join", "tenant_leave", "ac_add", "ac_remove"]),
+        st.integers(min_value=0, max_value=1100),
+    ),
+    snapshot_every=st.sampled_from([0, 90, 250]),
+)
+def test_random_crash_under_random_reconfiguration(
+    crash_at, actions, snapshot_every
+):
+    events = _schedule(sorted(actions.items()))
+    config = ServiceConfig(**SOAK, snapshot_every=snapshot_every)
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_journal = Path(tmp) / "ref.jsonl"
+        reference = run_service(
+            fleet(), config, journal_path=ref_journal, control_events=events
+        )
+        journal = Path(tmp) / "crash.jsonl"
+        with pytest.raises(ServiceCrash):
+            run_service(
+                fleet(),
+                config,
+                journal_path=journal,
+                control_events=events,
+                crash_at_tick=crash_at,
+                crash_mode="raise",
+            )
+        report = recover_service(
+            fleet(), config, journal_path=journal, control_events=events
+        )
+        assert journal.read_bytes() == ref_journal.read_bytes()
+        assert report.to_json_dict() == reference.to_json_dict()
