@@ -12,8 +12,7 @@ from repro import (
     ExecutionMonitor,
     HEFScheduler,
     RisppSimulator,
-    build_atom_registry,
-    build_si_library,
+    h264_platform,
 )
 from repro.workload.model import H264WorkloadModel
 
@@ -24,8 +23,7 @@ def main() -> None:
         activity_amplitude=0.45,
     )
     workload = model.generate()
-    registry = build_atom_registry()
-    library = build_si_library(registry)
+    registry, library = h264_platform()
 
     monitor = ExecutionMonitor(alpha=0.5, profile=model.offline_profile())
     sim = RisppSimulator(

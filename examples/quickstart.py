@@ -11,17 +11,15 @@ from repro import (
     HEFScheduler,
     MolenSimulator,
     RisppSimulator,
-    build_atom_registry,
-    build_si_library,
     generate_workload,
+    h264_platform,
     paper_si_label,
     simulate_software,
 )
 
 
 def main() -> None:
-    registry = build_atom_registry()
-    library = build_si_library(registry)
+    registry, library = h264_platform()
 
     print("The nine Special Instructions of the H.264 encoder (Table 1):")
     for name, atom_types, molecules in library.inventory():

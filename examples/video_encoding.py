@@ -16,8 +16,7 @@ from repro import (
     MolenSimulator,
     RisppSimulator,
     SyntheticVideo,
-    build_atom_registry,
-    build_si_library,
+    h264_platform,
     simulate_software,
 )
 
@@ -35,8 +34,7 @@ def main() -> None:
     totals = result.workload.totals()
     print("  SI executions:", {k: v for k, v in sorted(totals.items())})
 
-    registry = build_atom_registry()
-    library = build_si_library(registry)
+    registry, library = h264_platform()
     num_acs = 10
     software = simulate_software(library, result.workload)
     molen = MolenSimulator(library, registry, num_acs).run(result.workload)

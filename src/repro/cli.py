@@ -105,7 +105,7 @@ from .exec import (
 )
 from .errors import ObservabilityError, RisppError, ServiceError, SweepError
 from .fabric.faults import BernoulliLoadFaults, FaultModel, RetryPolicy
-from .h264.silibrary import build_atom_registry, build_si_library
+from .h264.silibrary import h264_platform
 from .obs import TRACE_FORMATS, RecordingTracer, export_events
 from .sim.engine import ENGINES
 from .sim.rispp import RisppSimulator
@@ -263,8 +263,7 @@ def _build_workload(args: argparse.Namespace, frames: int):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    registry = build_atom_registry()
-    library = build_si_library(registry)
+    registry, library = h264_platform()
     frames = args.frames if args.frames else default_scale().frames
     workload = _build_workload(args, frames)
     fault_model, retry_policy = _fault_setup(args)
@@ -439,7 +438,7 @@ def _cmd_prefetch(args: argparse.Namespace) -> str:
 
 
 def _cmd_table1(args: argparse.Namespace) -> str:
-    return format_table1(build_si_library())
+    return format_table1(h264_platform()[1])
 
 
 def _cmd_table3(args: argparse.Namespace) -> str:

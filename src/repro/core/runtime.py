@@ -17,25 +17,38 @@ III. *Determining atom re-loading decisions* — molecule selection picks
 The manager is a pure decision component: it never advances time.  The
 behavioural simulators in :mod:`repro.sim` own the clock and feed the
 manager's decisions into the fabric model.
+
+Being pure, a plan is a function of its inputs alone, so
+:meth:`RuntimeManager.plan_hot_spot` memoises whole plans across every
+manager of the process (:data:`_PLAN_MEMO`).  The key holds every input
+a plan depends on; the memo changes speed only and never enters a
+result, journal, cache key or metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SelectionError, UnknownSpecialInstructionError
 from .molecule import Molecule
 from .monitor import ExecutionMonitor
 from .schedule import Schedule, validate_schedule
-from .scoring import ScoringCache, fast_schedule, select_molecules_fast
+from .scoring import LruMemo, fast_schedule, select_molecules_fast
 
 if TYPE_CHECKING:  # annotation-only: keeps core below the schedulers
     from .schedulers.base import AtomScheduler
 from .selection import MoleculeSelection, select_molecules
-from .si import MoleculeImpl, SILibrary
+from .si import MoleculeImpl, SILibrary, SpecialInstruction
 
 __all__ = ["HotSpotPlan", "RuntimeManager"]
+
+#: ``(selection, schedule)`` per plan key, shared by every manager of the
+#: process.  The fixed bound keeps a long sweep's distinct forecasts from
+#: growing it without limit.  Keys pin their SI objects alive (SIs hash
+#: by identity), and a stored :class:`Schedule` is never appended to
+#: again — only the schedulers build schedules.
+_PLAN_MEMO: LruMemo[Tuple[MoleculeSelection, Schedule]] = LruMemo(256)
 
 
 @dataclass(frozen=True)
@@ -86,9 +99,6 @@ class RuntimeManager:
         self.monitor = monitor if monitor is not None else ExecutionMonitor()
         self.validate_schedules = bool(validate_schedules)
         self._sis_by_name = {si.name: si for si in library}
-        # Static-array memo for the fast planning path (repro.core.scoring);
-        # keyed by immutable library objects, so it never needs clearing.
-        self._scoring_cache: ScoringCache = {}
 
     # -- task III: re-loading decisions --------------------------------------
 
@@ -116,16 +126,47 @@ class RuntimeManager:
         array-friendly implementations in :mod:`repro.core.scoring`
         (used by the vector simulation engine).  The resulting plan is
         identical either way.
+
+        Unless the scheduler's ``plan_key()`` is ``None``, an earlier
+        plan for the same inputs is reused from the process-wide memo:
+        the new :class:`HotSpotPlan` shares its ``selection`` and
+        ``schedule``.
         """
         budget = self.num_acs
         if num_acs is not None:
             budget = max(0, min(budget, int(num_acs)))
         sis = self.library.subset(si_names)
         expected = self.monitor.predict(hot_spot, si_names)
+        scheduler_key = self.scheduler.plan_key()
+        key = None if scheduler_key is None else (
+            scheduler_key, tuple(sis), tuple(expected.items()), budget,
+            available, fast, self.validate_schedules,
+        )
+        decided = None if key is None else _PLAN_MEMO.lookup(key)
+        if decided is None:
+            decided = self._plan(sis, expected, budget, available, fast)
+            if key is not None:
+                _PLAN_MEMO.store(key, decided)
+        selection, schedule = decided
+        return HotSpotPlan(
+            hot_spot=hot_spot,
+            expected=expected,
+            selection=selection,
+            schedule=schedule,
+        )
+
+    def _plan(
+        self,
+        sis: Sequence[SpecialInstruction],
+        expected: Mapping[str, float],
+        budget: int,
+        available: Molecule,
+        fast: bool,
+    ) -> Tuple[MoleculeSelection, Schedule]:
+        """Molecule selection plus atom scheduling, uncached."""
         if fast:
             selection = select_molecules_fast(
-                sis, expected, budget, available=available,
-                cache=self._scoring_cache,
+                sis, expected, budget, available=available
             )
         else:
             selection = select_molecules(
@@ -136,8 +177,7 @@ class RuntimeManager:
             sis_map = {si.name: si for si in sis}
             if fast:
                 schedule = fast_schedule(
-                    self.scheduler, hardware, sis_map, available, expected,
-                    cache=self._scoring_cache,
+                    self.scheduler, hardware, sis_map, available, expected
                 )
             else:
                 schedule = self.scheduler.schedule(
@@ -147,12 +187,7 @@ class RuntimeManager:
                 validate_schedule(schedule, hardware, available)
         else:
             schedule = Schedule(self.library.space)
-        return HotSpotPlan(
-            hot_spot=hot_spot,
-            expected=expected,
-            selection=selection,
-            schedule=schedule,
-        )
+        return selection, schedule
 
     def plan_with_lease(
         self,

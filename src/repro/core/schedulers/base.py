@@ -21,7 +21,7 @@ and the ``bestLatency`` array (line 28).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple, Type
 
 from ...errors import InvalidScheduleError, UnknownSpecialInstructionError
 from ..candidates import best_latency_map, clean_candidates, expand_candidates
@@ -220,6 +220,17 @@ class AtomScheduler(ABC):
     @abstractmethod
     def _run(self, state: SchedulerState) -> None:
         """Schedule molecule upgrade steps via ``state.commit``."""
+
+    def plan_key(self) -> Optional[Hashable]:
+        """This scheduler's part of the Run-Time Manager's plan-memo key.
+
+        It must cover every setting a schedule depends on; ``None``
+        means "never memoise", which stateful strategies must return.
+        The default suits configuration-free strategies: an instance
+        with any attribute gets ``None`` unless its class overrides
+        this with its configuration.
+        """
+        return None if vars(self) else (type(self),)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -75,6 +75,9 @@ class LookaheadScheduler(AtomScheduler):
     def __repr__(self) -> str:
         return f"LookaheadScheduler(beam_width={self.beam_width})"
 
+    def plan_key(self) -> Tuple[type, int]:
+        return (type(self), self.beam_width)
+
     def _step_cost(
         self, state: SchedulerState, node: _Node, impl: MoleculeImpl
     ) -> float:

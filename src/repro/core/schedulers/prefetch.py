@@ -34,6 +34,8 @@ HEF".
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ...errors import CalibrationError
 from .base import register_scheduler
 from .hef import HEFScheduler
@@ -69,6 +71,9 @@ class PrefetchScheduler(HEFScheduler):
             )
         self.confidence = float(confidence)
         self.budget = int(budget)
+
+    def plan_key(self) -> Tuple[type, float, int]:
+        return (type(self), self.confidence, self.budget)
 
     @property
     def speculates(self) -> bool:

@@ -29,6 +29,10 @@ class RandomScheduler(AtomScheduler):
     def __repr__(self) -> str:
         return f"RandomScheduler(seed={self.seed})"
 
+    def plan_key(self) -> None:
+        # The RNG advances on every schedule: never memoised.
+        return None
+
     def reseed(self, seed: int) -> None:
         """Reset the generator (e.g. between simulator runs)."""
         self.seed = int(seed)

@@ -26,12 +26,14 @@ The engines must agree field-for-field on every
 
 The expensive part of building the array views — stacking every
 implementation's atom vector into int64 matrices — depends only on the
-SI library objects, which are immutable and recur on every hot-spot plan
-of a run.  Callers therefore pass a ``cache`` dict (the Run-Time Manager
-owns one per simulator) and the static tables are built once per
-distinct SI set / selection instead of once per plan.  Cache entries
-hold strong references to the keyed objects, so the ``id()``-based keys
-can never alias a recycled object.
+SI library objects, which are immutable and, with the process-wide
+:func:`~repro.h264.silibrary.h264_platform`, shared by every simulator
+of a process.  One module-level LRU memo (:data:`_TABLES`) therefore
+builds the static tables once per distinct SI set / selection per
+process instead of once per plan.  Entries hold strong references to
+the keyed objects, so the ``id()``-based keys can never alias a
+recycled object, and the bound keeps a process that builds many
+libraries (a test run) from pinning them all.
 
 Float division appears here deliberately: RL005 (division-free) scopes to
 ``repro/core/schedulers/*`` and ``repro/sim/vector*`` — the schedulers'
@@ -42,7 +44,19 @@ reference *selection* ratio, which lives outside that scope in
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -58,6 +72,7 @@ from .selection import MoleculeSelection
 from .si import MoleculeImpl, SpecialInstruction
 
 __all__ = [
+    "LruMemo",
     "select_molecules_fast",
     "VectorSchedulerState",
     "fast_schedule",
@@ -66,8 +81,43 @@ __all__ = [
 #: Latency sentinel for infeasible rows in the best-latency refresh.
 _LAT_SENTINEL = np.iinfo(np.int64).max
 
-#: Opaque cache type shared by the fast-path entry points.
-ScoringCache = Dict[object, object]
+_V = TypeVar("_V")
+
+
+class LruMemo(OrderedDict[Hashable, _V]):
+    """A dict that keeps at most ``maxsize`` entries, evicting the least
+    recently used.  Process-wide memos of :mod:`repro.core` use it; they
+    only ever change speed, never a result.  Not synchronised: the
+    package plans on one thread per process."""
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+
+    def lookup(self, key: Hashable) -> Optional[_V]:
+        """The stored value (now most recently used), or ``None``."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def store(self, key: Hashable, value: _V) -> None:
+        self[key] = value
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+
+
+#: The static selection/schedule tables of every SI set and selection
+#: planned in this process (see the module docstring).
+_TABLES: LruMemo[Any] = LruMemo(1024)
+
+
+def _cached_tables(key: Hashable, build: Callable[[], _V]) -> _V:
+    tables = _TABLES.lookup(key)
+    if tables is None:
+        tables = build()
+        _TABLES.store(key, tables)
+    return tables
 
 
 class _SelectionTables:
@@ -109,18 +159,11 @@ class _SelectionTables:
         self.software_lat_list = [si.software.latency for si in sis]
 
 
-def _selection_tables(
-    sis: Sequence[SpecialInstruction], cache: Optional[ScoringCache]
-) -> _SelectionTables:
-    if cache is None:
-        return _SelectionTables(tuple(sis))
-    key = ("select", tuple(id(si) for si in sis))
-    tables = cache.get(key)
-    if tables is None:
-        tables = _SelectionTables(tuple(sis))
-        cache[key] = tables
-    assert isinstance(tables, _SelectionTables)
-    return tables
+def _selection_tables(sis: Sequence[SpecialInstruction]) -> _SelectionTables:
+    return _cached_tables(
+        ("select", tuple(id(si) for si in sis)),
+        lambda: _SelectionTables(tuple(sis)),
+    )
 
 
 def select_molecules_fast(
@@ -128,7 +171,6 @@ def select_molecules_fast(
     expected: Mapping[str, float],
     num_acs: int,
     available: Optional[Molecule] = None,
-    cache: Optional[ScoringCache] = None,
 ) -> MoleculeSelection:
     """Vectorized :func:`repro.core.selection.select_molecules`.
 
@@ -139,15 +181,12 @@ def select_molecules_fast(
     determinants) is batched in int64, while the rank/tie-break cascade
     runs over the masked candidates as ordinary Python tuples with the
     exact reference key ``(rank, reuse, si_name, impl_name)``.
-
-    ``cache`` (any dict the caller keeps alive) memoizes the static
-    implementation tables per SI set across calls.
     """
     if not sis:
         raise SelectionError("cannot select molecules for an empty hot spot")
     if num_acs < 0:
         raise SelectionError(f"negative atom-container budget: {num_acs}")
-    tables = _selection_tables(sis, cache)
+    tables = _selection_tables(sis)
     space = tables.space
     n = space.size
     num_sis = len(sis)
@@ -340,21 +379,13 @@ class _ScheduleTables:
 def _schedule_tables(
     selection: Mapping[str, MoleculeImpl],
     sis: Mapping[str, SpecialInstruction],
-    cache: Optional[ScoringCache],
 ) -> _ScheduleTables:
-    if cache is None:
-        return _ScheduleTables(selection, sis)
     key = (
         "schedule",
         tuple((name, id(impl)) for name, impl in selection.items()),
         tuple(sorted((name, id(si)) for name, si in sis.items())),
     )
-    tables = cache.get(key)
-    if tables is None:
-        tables = _ScheduleTables(selection, sis)
-        cache[key] = tables
-    assert isinstance(tables, _ScheduleTables)
-    return tables
+    return _cached_tables(key, lambda: _ScheduleTables(selection, sis))
 
 
 class VectorSchedulerState(SchedulerState):
@@ -383,11 +414,8 @@ class VectorSchedulerState(SchedulerState):
         sis: Mapping[str, SpecialInstruction],
         available: Molecule,
         expected: Mapping[str, float],
-        tables: Optional[_ScheduleTables] = None,
     ) -> None:
-        if tables is None:
-            tables = _schedule_tables(selection, sis, None)
-        self._tables = tables
+        tables = self._tables = _schedule_tables(selection, sis)
         self.selection = dict(selection)
         self.sis = dict(sis)
         self.space = available.space
@@ -628,7 +656,6 @@ def fast_schedule(
     sis: Mapping[str, SpecialInstruction],
     available: Molecule,
     expected: Mapping[str, float],
-    cache: Optional[ScoringCache] = None,
 ) -> Schedule:
     """Run ``scheduler`` over a :class:`VectorSchedulerState`.
 
@@ -636,13 +663,9 @@ def fast_schedule(
     routed to :func:`_run_hef_fast`; every other strategy executes its
     own unmodified ``_run`` against the accelerated state.  Either way
     the resulting :class:`Schedule` is identical to
-    ``scheduler.schedule(...)``.  ``cache`` memoizes the static per-
-    selection candidate tables across hot-spot plans.
+    ``scheduler.schedule(...)``.
     """
-    state = VectorSchedulerState(
-        selection, sis, available, expected,
-        tables=_schedule_tables(selection, sis, cache),
-    )
+    state = VectorSchedulerState(selection, sis, available, expected)
     if scheduler.name == "HEF":
         _run_hef_fast(state)
     else:

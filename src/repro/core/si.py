@@ -98,6 +98,11 @@ class SpecialInstruction:
         unique names and vectors, and be *faster* than the software
         implementation (a hardware implementation slower than software
         would never be selected nor built).
+
+    Instances are immutable: there are no mutators, and there must never
+    be any.  One frozen library is shared by every simulator of a
+    process (:func:`~repro.h264.silibrary.h264_platform`), and the
+    scoring tables and plan memo of :mod:`repro.core` key on SI identity.
     """
 
     def __init__(
@@ -273,7 +278,9 @@ class SILibrary:
 
     The library is the static description the run-time system works with:
     molecule selection, candidate expansion and atom scheduling all take
-    the library (or a per-hot-spot subset of its SIs) as input.
+    the library (or a per-hot-spot subset of its SIs) as input.  Like its
+    SIs it is immutable, with no mutators, so one instance can be shared
+    process-wide.
     """
 
     def __init__(self, space: AtomSpace, sis: Iterable[SpecialInstruction]) -> None:

@@ -7,9 +7,10 @@ dispatch), measures per-cell wall time, and consults an optional
 re-simulated.
 
 Determinism contract: a cell is a *pure function* of its configuration.
-Every worker builds its own platform, workload and simulator from the
-cell alone (no state crosses process boundaries besides the cell
-itself), and all models are seed-driven — so a parallel run is
+Every worker builds its own workload and simulator from the cell alone
+(no state crosses process boundaries besides the cell itself), over the
+process's frozen :func:`~repro.h264.silibrary.h264_platform`, and all
+models are seed-driven — so a parallel run is
 bit-identical to a serial run, and both are bit-identical to a cache
 replay.  ``tests/test_exec_determinism.py`` pins this down.
 """
@@ -84,13 +85,12 @@ def execute_cell(
     """
     from ..core.schedulers import get_scheduler
     from ..fabric.faults import BernoulliLoadFaults, RetryPolicy
-    from ..h264.silibrary import build_atom_registry, build_si_library
+    from ..h264.silibrary import h264_platform
     from ..sim.molen import MolenSimulator
     from ..sim.rispp import RisppSimulator
     from ..sim.software import simulate_software
 
-    registry = build_atom_registry()
-    library = build_si_library(registry)
+    registry, library = h264_platform()
     workload = cell.workload.build()
     if cell.system == "Software":
         return simulate_software(library, workload)

@@ -39,8 +39,10 @@ class WorkloadSpec:
 
     ``hot_spots``/``max_traces`` reproduce the trace subsets the figure
     experiments use (e.g. Figure 2 replays only the first two ME
-    invocations).  Filters are applied after generation, so the same
-    ``(frames, seed)`` pair always yields the same underlying traces.
+    invocations).  The same ``(frames, seed)`` pair always yields the
+    same underlying traces: the h264 model generates only the kept hot
+    spots, with random draws that do not depend on the filter, and the
+    other filters apply after generation.
 
     ``generator`` selects the trace source: ``"h264"`` (default) is the
     calibrated H.264 model; ``"adversarial"`` builds a seeded
@@ -91,7 +93,7 @@ class WorkloadSpec:
         else:
             workload = H264WorkloadModel(
                 num_frames=self.frames, seed=self.seed
-            ).generate()
+            ).generate(hot_spots=self.hot_spots)
         if self.hot_spots is None and self.max_traces is None:
             return workload
         traces = list(workload.traces)

@@ -68,7 +68,12 @@ class AtomType:
 
 
 class AtomRegistry:
-    """Ordered registry of the application's atom types."""
+    """Ordered registry of the application's atom types.
+
+    Immutable (no mutators, and there must never be any): one registry
+    is shared by every simulator of a process, see
+    :func:`~repro.h264.silibrary.h264_platform`.
+    """
 
     def __init__(self, atom_types: Iterable[AtomType]):
         self._types: Dict[str, AtomType] = {}

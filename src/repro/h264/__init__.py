@@ -35,6 +35,7 @@ from .silibrary import (
     HOT_SPOT_ORDER,
     build_atom_registry,
     build_si_library,
+    h264_platform,
     paper_si_label,
 )
 from .types import YuvFrame, macroblocks, mb_view
@@ -62,6 +63,7 @@ __all__ = [
     "HOT_SPOT_ORDER",
     "build_atom_registry",
     "build_si_library",
+    "h264_platform",
     "paper_si_label",
     "YuvFrame",
     "macroblocks",

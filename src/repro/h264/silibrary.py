@@ -50,6 +50,7 @@ matches the reported 874.03 us.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.molecule import AtomSpace
@@ -80,6 +81,7 @@ __all__ = [
     "PAPER_SI_LABELS",
     "build_atom_registry",
     "build_si_library",
+    "h264_platform",
     "paper_si_label",
 ]
 
@@ -362,6 +364,23 @@ def build_si_library(registry: AtomRegistry = None) -> SILibrary:
             )
         )
     return SILibrary(space, sis)
+
+
+@functools.cache
+def h264_platform() -> Tuple[AtomRegistry, SILibrary]:
+    """The H.264 registry and SI library, built once per process.
+
+    This is the paper's design-time half: the atoms and molecules are
+    fixed before any hot spot runs, so every simulator, sweep cell and
+    service estimate of a process shares one frozen pair.  Sharing is
+    safe because :class:`AtomRegistry`, :class:`SILibrary` and
+    :class:`SpecialInstruction` have no mutators; it also lets the
+    identity-keyed scoring tables and plan memo of
+    :mod:`repro.core` hit across cells.  :func:`build_atom_registry` and
+    :func:`build_si_library` stay the pure constructors.
+    """
+    registry = build_atom_registry()
+    return registry, build_si_library(registry)
 
 
 def paper_si_label(si_name: str) -> str:

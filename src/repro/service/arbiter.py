@@ -69,7 +69,7 @@ from ..exec.cache import CODE_VERSION_SALT, ResultCache, canonical_json, cell_ke
 from ..exec.runner import execute_cell
 from ..exec.spec import SweepCell
 from ..fabric.faults import backoff_delay
-from ..h264.silibrary import HOT_SPOT_SIS, build_si_library
+from ..h264.silibrary import HOT_SPOT_SIS, h264_platform
 from ..obs.events import (
     AcRetired,
     BreakerTransition,
@@ -389,7 +389,7 @@ class _Arbiter:
         This is the paper's planning machinery answering the service's
         triage question before any traffic flows.
         """
-        library = build_si_library()
+        _, library = h264_platform()
         empty = library.space.molecule({})
         manager = RuntimeManager(
             library,

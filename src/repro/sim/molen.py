@@ -75,9 +75,6 @@ class MolenSimulator(SystemSimulator):
             engine=engine,
         )
         self.monitor = monitor if monitor is not None else ExecutionMonitor()
-        # Static-array memo for the fast selection path; keyed by the
-        # immutable library objects, so it survives resets unchanged.
-        self._scoring_cache: Dict[object, object] = {}
 
     @property
     def scheduler_name(self) -> str:
@@ -98,8 +95,7 @@ class MolenSimulator(SystemSimulator):
         if self._vector_active:
             selection = select_molecules_fast(
                 # The effective budget shrinks when containers die.
-                sis, expected, self.fabric.usable_acs, available=available,
-                cache=self._scoring_cache,
+                sis, expected, self.fabric.usable_acs, available=available
             )
         else:
             selection = select_molecules(

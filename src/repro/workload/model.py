@@ -27,7 +27,7 @@ intra prediction in EE; and strong-edge deblocking in LF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -149,8 +149,15 @@ class H264WorkloadModel:
 
     # -- generation ------------------------------------------------------------
 
-    def generate(self) -> Workload:
-        """Build the full workload (one ME, EE, LF trace per frame)."""
+    def generate(
+        self, hot_spots: Optional[Collection[str]] = None
+    ) -> Workload:
+        """Build the workload: one ME, EE, LF trace per frame.
+
+        ``hot_spots`` keeps only the traces of those hot spots.  The
+        random draws do not depend on it, so every kept trace is
+        byte-identical to the same trace of the full workload.
+        """
         rng = np.random.RandomState(self.seed)
         activity = self._activity(rng)
         n_mb = self.mbs_per_frame
@@ -168,6 +175,8 @@ class H264WorkloadModel:
                 0.04 + 0.08 * (act - 1.0), 0.0, 0.5
             )
             for hot_spot in HOT_SPOT_ORDER:
+                if hot_spots is not None and hot_spot not in hot_spots:
+                    continue
                 si_names = HOT_SPOT_SIS[hot_spot]
                 counts = np.zeros((n_mb, len(si_names)), dtype=np.int64)
                 for col, si_name in enumerate(si_names):

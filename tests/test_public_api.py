@@ -24,6 +24,7 @@ from repro.fabric.atom import (
     AVERAGE_RECONFIG_CYCLES,
     RECONFIG_CYCLES_PER_ATOM,
 )
+from repro import h264_platform
 from repro.h264.silibrary import ATOM_DCACC, PAPER_SI_LABELS, build_si_library
 from repro.obs.metrics import HistogramTimer, MetricsRegistry
 
@@ -56,6 +57,13 @@ class TestPaperConstants:
         names = {si.name for si in library}
         assert set(PAPER_SI_LABELS) <= names
         assert PAPER_SI_LABELS["DCT"] == "(I)DCT"
+
+    def test_h264_platform_is_one_frozen_table1_pair(self):
+        registry, library = h264_platform()
+        assert h264_platform() == (registry, library)
+        assert library.space == registry.space
+        # Same Table 1 as the pure constructor, built once per process.
+        assert library.inventory() == build_si_library().inventory()
 
 
 class TestMonitorStats:
