@@ -54,11 +54,16 @@ CODE_VERSION_SALT = f"repro-{__version__}/sweep-cache-v2"
 _ARTIFACT_FORMAT = 1
 
 
+#: The one encoder behind :func:`canonical_json` (``json.dumps`` would
+#: build a new one per call).
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True
+)
+
+
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, pure ASCII."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
+    return _CANONICAL.encode(value)
 
 
 def cell_key(cell: SweepCell, salt: str = CODE_VERSION_SALT) -> str:

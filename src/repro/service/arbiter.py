@@ -51,6 +51,7 @@ journal and identical per-tenant digests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import heapq
 import json
@@ -59,7 +60,7 @@ import random
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Any, Collection, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .._atomic import trim_torn_tail
 from ..core.runtime import RuntimeManager
@@ -127,10 +128,49 @@ _EST_TICKS_PER_ATOM = 6
 #: Virtual latency of serving an answer straight from the cache.
 _HIT_LATENCY_TICKS = 1
 
+#: Bound of the process-wide cell memo (:func:`_cell_and_key`): far
+#: above the distinct cells one run asks for, small enough that a stream
+#: of fresh answers keeps memory flat.
+_CELL_MEMO_SIZE = 1024
+
 #: Crash-injection modes: ``sigkill`` kills the process outright (the
 #: subprocess/CI path), ``raise`` throws :class:`ServiceCrash` so
 #: in-process tests can observe the post-crash disk state.
 _CRASH_MODES = ("sigkill", "raise")
+
+
+@functools.lru_cache(maxsize=_CELL_MEMO_SIZE)
+def _cell_and_key(
+    tenant: TenantSpec, hot_spot: str, variant: int, lease: int, salt: str
+) -> Tuple[SweepCell, str]:
+    """The cell a request asks for, and its cache key.
+
+    ``lease`` is the effective lease: zero (a degraded dispatch or a
+    cISA-only tenant) means the software cell.  A request stream repeats
+    few distinct cells, so each is built and keyed once per process.
+    """
+    workload = dataclasses.replace(
+        tenant.workload,
+        hot_spots=(hot_spot,),
+        seed=tenant.workload.seed + variant,
+    )
+    if lease == 0:
+        cell = SweepCell(system="Software", num_acs=0, workload=workload)
+    else:
+        cell = SweepCell(
+            system="RISPP",
+            scheduler=tenant.scheduler,
+            num_acs=lease,
+            workload=workload,
+        )
+    return cell, cell_key(cell, salt)
+
+
+def _answer(payload: Dict[str, Any]) -> List[Any]:
+    """What the answer memo keeps of a result payload:
+    ``[short content digest, total_cycles]``."""
+    digest = hashlib.sha256(canonical_json(payload).encode("ascii"))
+    return [digest.hexdigest()[:16], int(payload["total_cycles"])]
 
 
 def _victim_order(record: RequestRecord) -> Tuple[int, int, int]:
@@ -308,7 +348,8 @@ class _Arbiter:
 
     Every mutable quantity of the run lives in ``self.state``; the
     other attributes are fixed for the arbiter's lifetime (the
-    admission controller books into ``state.ledgers``).
+    admission controller books into ``state.ledgers``, and
+    ``requests`` is the immutable request table).
     """
 
     def __init__(
@@ -341,9 +382,26 @@ class _Arbiter:
         self.tenants = {tenant.name: tenant for tenant in tenants}
         if len(self.tenants) != len(tenants):
             raise ServiceError("tenant names must be unique")
+        #: The run's request table, indexed by ``seq``: the initial
+        #: fleet's stream, then each joiner's stream from its join tick,
+        #: in control order.  A pure function of the inputs the config
+        #: fingerprint pins, so recovery re-derives it.
+        requests = list(
+            generate_requests(tenants, config.duration, config.seed)
+        )
         for event in self.controls:
             if event.spec is not None:
                 self.tenants[event.name] = event.spec
+                requests.extend(
+                    generate_requests(
+                        [event.spec],
+                        config.duration,
+                        config.seed,
+                        start=event.tick,
+                        first_seq=len(requests),
+                    )
+                )
+        self.requests: Tuple[ServiceRequest, ...] = tuple(requests)
         self.state = state if state is not None else ArbiterState(
             breaker=CircuitBreaker(
                 threshold=config.breaker_threshold,
@@ -429,30 +487,24 @@ class _Arbiter:
 
     # -- result serving ----------------------------------------------------
 
-    def _cell_for(self, request: ServiceRequest, degraded: bool) -> SweepCell:
-        tenant = self.tenants[request.tenant]
-        workload = dataclasses.replace(
-            tenant.workload,
-            hot_spots=(request.hot_spot,),
-            seed=tenant.workload.seed + request.variant,
-        )
-        if degraded or request.lease_acs == 0:
-            return SweepCell(
-                system="Software", num_acs=0, workload=workload
-            )
-        return SweepCell(
-            system="RISPP",
-            scheduler=tenant.scheduler,
-            num_acs=request.lease_acs,
-            workload=workload,
+    def _cell_for(
+        self, request: ServiceRequest, degraded: bool
+    ) -> Tuple[SweepCell, str]:
+        return _cell_and_key(
+            self.tenants[request.tenant],
+            request.hot_spot,
+            request.variant,
+            0 if degraded else request.lease_acs,
+            self._salt(),
         )
 
-    def _probe(self, cell: SweepCell) -> Optional[Dict[str, Any]]:
-        """A previously-served answer for ``cell``, if any (no compute)."""
-        key = cell_key(cell, self._salt())
-        payload = self.state.memo.get(key)
-        if payload is not None:
-            return payload
+    def _probe(self, request: ServiceRequest) -> Optional[List[Any]]:
+        """A previously-served answer for ``request``, if any (no
+        compute)."""
+        cell, key = self._cell_for(request, degraded=False)
+        answer = self.state.memo.get(key)
+        if answer is not None:
+            return answer
         if self._replaying:
             # Recovery: the disk cache may hold answers the crashed run
             # stored after the resume point.  The original run saw a
@@ -462,13 +514,15 @@ class _Arbiter:
         if self.cache is not None and self.cache.contains(cell):
             payload = self.cache.get(cell)
             if payload is not None:
-                self.state.memo[key] = payload
-            return payload
+                answer = self.state.memo[key] = _answer(payload)
+            return answer
         return None
 
-    def _execute(self, cell: SweepCell) -> Tuple[Dict[str, Any], bool]:
-        """The answer for ``cell``: memo, then read-through cache."""
-        key = cell_key(cell, self._salt())
+    def _execute(
+        self, request: ServiceRequest, degraded: bool
+    ) -> Tuple[List[Any], bool]:
+        """The answer for ``request``: memo, then read-through cache."""
+        cell, key = self._cell_for(request, degraded)
         memoised = self.state.memo.get(key)
         if memoised is not None:
             return memoised, True
@@ -484,34 +538,18 @@ class _Arbiter:
             payload, hit = execute_cell(cell).to_json_dict(), False
             if self.cache is not None:
                 self.cache.put(cell, payload)
-        self.state.memo[key] = payload
-        return payload, hit
+        answer = self.state.memo[key] = _answer(payload)
+        return answer, hit
 
     def _salt(self) -> str:
         return self.cache.salt if self.cache is not None else (
             CODE_VERSION_SALT
         )
 
-    @staticmethod
-    def _digest(payload: Dict[str, Any]) -> str:
-        return hashlib.sha256(
-            canonical_json(payload).encode("ascii")
-        ).hexdigest()[:16]
-
-    def _service_ticks(self, payload: Dict[str, Any]) -> int:
-        return max(
-            1, int(payload["total_cycles"]) // self.config.cycles_per_tick
-        )
-
     # -- the event loop ----------------------------------------------------
 
     def run(self) -> ServiceReport:
         state = self.state
-        state.requests.extend(
-            generate_requests(
-                self.fleet, self.config.duration, self.config.seed
-            )
-        )
         self.journal.write(
             {
                 "kind": "header",
@@ -525,13 +563,18 @@ class _Arbiter:
             }
         )
         self.seed_estimates()
-        for request in state.requests:
-            state.clock.push(request.arrival, _ARRIVAL, request.seq)
+        self._push_arrivals({tenant.name for tenant in self.fleet})
         for tick in self.config.fault_ticks:
             state.clock.push(tick, _FAULT)
         for index, event in enumerate(self.controls):
             state.clock.push(event.tick, _CONTROL, index)
         return self.run_loop()
+
+    def _push_arrivals(self, tenants: Collection[str]) -> None:
+        """Schedule every arrival of ``tenants``' request streams."""
+        for request in self.requests:
+            if request.tenant in tenants:
+                self.state.clock.push(request.arrival, _ARRIVAL, request.seq)
 
     def run_loop(self) -> ServiceReport:
         """Process the event heap to exhaustion (also the entry point of
@@ -559,7 +602,7 @@ class _Arbiter:
             elif kind == _COMPLETE:
                 self._on_complete(now, a, b)
             elif kind == _ARRIVAL:
-                self._on_arrival(now, state.requests[a])
+                self._on_arrival(now, self.requests[a])
             # _DISPATCH events carry no payload: the dispatch pass below
             # runs after *every* event anyway; the heap entry only
             # guarantees the loop wakes up when a backoff gate opens.
@@ -628,9 +671,8 @@ class _Arbiter:
             # entitled to admission-free answers.
             self._shed(now, request, "draining")
             return
-        cell = self._cell_for(request, degraded=False)
-        payload = self._probe(cell)
-        if payload is not None:
+        answer = self._probe(request)
+        if answer is not None:
             # Answer reuse: the content-addressed result server already
             # holds this answer — serve it admission-free.
             record = RequestRecord(
@@ -639,11 +681,9 @@ class _Arbiter:
                 admitted=False,
                 cache_hit=True,
                 service_ticks=_HIT_LATENCY_TICKS,
-                digest=self._digest(payload),
+                digest=answer[0],
             )
             record.started = now
-            record.index = len(self.state.records)
-            self.state.records.append(record)
             self.state.running.append(record)
             self.journal.write(
                 {
@@ -656,7 +696,7 @@ class _Arbiter:
             self.state.clock.push(
                 now + _HIT_LATENCY_TICKS,
                 _COMPLETE,
-                record.index,
+                request.seq,
                 record.epoch,
             )
             return
@@ -679,8 +719,6 @@ class _Arbiter:
             request=request,
             est_ticks=self.admission.estimate(request.tenant),
         )
-        record.index = len(self.state.records)
-        self.state.records.append(record)
         self.state.queue.append(record)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -771,21 +809,10 @@ class _Arbiter:
                 "tenant": spec.name,
             }
         )
-        # The joining tenant's request stream: seeded from the service
-        # seed and the tenant *name* (exactly like the initial fleet's
-        # streams), started relative to the join tick.  Global sequence
-        # numbers continue from the current request table, so the
-        # stream — and every arbitration tie-break — is a pure function
-        # of (fleet, config, control schedule).
-        for request in generate_requests(
-            [spec],
-            self.config.duration,
-            self.config.seed,
-            start=now,
-            first_seq=len(self.state.requests),
-        ):
-            self.state.requests.append(request)
-            self.state.clock.push(request.arrival, _ARRIVAL, request.seq)
+        # The joining tenant's request stream is already in the request
+        # table (generated from the join tick, numbered after every
+        # earlier stream); its arrivals start now.
+        self._push_arrivals((spec.name,))
 
     def _control_leave(self, now: int, event: ControlEvent) -> None:
         self.state.draining.add(event.name)
@@ -865,12 +892,12 @@ class _Arbiter:
             }
         )
 
-    def _on_complete(self, now: int, index: int, epoch: int) -> None:
-        record = self.state.records[index]
-        if record.status != "running" or record.epoch != epoch:
+    def _on_complete(self, now: int, seq: int, epoch: int) -> None:
+        record = next(
+            (r for r in self.state.running if r.request.seq == seq), None
+        )
+        if record is None or record.epoch != epoch:
             return  # stale completion of a preempted dispatch
-        record.status = "done"
-        record.completed = now
         request = record.request
         stats = self.state.stats[request.tenant]
         latency = now - request.arrival
@@ -977,10 +1004,10 @@ class _Arbiter:
     def _start(self, record: RequestRecord, now: int, degraded: bool) -> None:
         """Serve ``record``'s answer and schedule its completion."""
         record.degraded = degraded
-        payload, hit = self._execute(self._cell_for(record.request, degraded))
+        answer, hit = self._execute(record.request, degraded)
         record.cache_hit = record.cache_hit or hit
-        record.digest = self._digest(payload)
-        record.service_ticks = self._service_ticks(payload)
+        record.digest, cycles = answer
+        record.service_ticks = max(1, cycles // self.config.cycles_per_tick)
         self.state.queue.remove(record)
         self.state.running.append(record)
         record.status = "running"
@@ -989,7 +1016,7 @@ class _Arbiter:
         self.state.clock.push(
             now + record.service_ticks,
             _COMPLETE,
-            record.index,
+            record.request.seq,
             record.epoch,
         )
 

@@ -6,9 +6,9 @@ hot spot X of my workload, answer by tick D".  Streams are generated
 pure function of the fleet and the service seed, never of execution
 interleaving, which is what makes two soak runs bit-identical.
 
-The mutable :class:`RequestRecord` tracks one admitted request through
-the arbiter: queued → running → done, with preemption count, backoff
-gate and the delivered answer's digest.
+The mutable :class:`RequestRecord` tracks one served request through
+the arbiter, queued → running, with preemption count, backoff gate and
+the delivered answer's digest, until the request completes.
 """
 
 from __future__ import annotations
@@ -45,17 +45,17 @@ class RequestRecord:
     """Mutable life-cycle state of one *admitted* request.
 
     ``epoch`` increments every time the request is (re-)dispatched; a
-    completion event carries the epoch it was scheduled under, so a
-    preempted dispatch's stale completion is recognised and ignored.
+    completion event carries the request's ``seq`` and the epoch it was
+    scheduled under, so a preempted dispatch's stale completion is
+    recognised and ignored.  A record lives in the arbiter's queue or
+    running list until its request completes, and is dropped then.
     """
 
     request: ServiceRequest
-    #: ``queued`` | ``running`` | ``done``.
+    #: ``queued`` | ``running``.
     status: str = "queued"
     #: False for admission-free cache hits (no ledger charge to refund).
     admitted: bool = True
-    #: Position in the arbiter's record table (set when registered).
-    index: int = -1
     #: Estimated fabric service time (ticks) at admission.
     est_ticks: int = 0
     #: Earliest tick the request may be (re-)dispatched.
@@ -63,7 +63,6 @@ class RequestRecord:
     preemptions: int = 0
     epoch: int = 0
     started: int = -1
-    completed: int = -1
     degraded: bool = False
     cache_hit: bool = False
     #: Whether the current dispatch holds a fabric lease.

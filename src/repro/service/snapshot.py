@@ -1,7 +1,7 @@
 """Versioned, salted, atomically-written arbiter snapshots.
 
-A snapshot is the arbiter's complete mutable state at one virtual tick
-— the generic encoding of the declared
+A snapshot is the arbiter's live state at one virtual tick — the
+generic encoding of the declared
 :class:`~repro.service.state.ArbiterState` — plus an *anchor* into the
 service journal: the byte length of the journal prefix written so far and the
 SHA-256 of exactly those bytes.  Recovery restores the newest snapshot
@@ -41,8 +41,10 @@ __all__ = [
 
 #: Snapshot schema version; a bump orphans every older snapshot (they
 #: then read as invalid and recovery falls back to full replay).  v2
-#: derives the ``state`` payload from the declared state dataclasses.
-SNAPSHOT_FORMAT = 2
+#: derives the ``state`` payload from the declared state dataclasses;
+#: v3 holds live state only (no request or record table, and the memo
+#: keeps ``[digest, total_cycles]`` per answer).
+SNAPSHOT_FORMAT = 3
 
 #: Newest snapshots kept per journal; older ones are pruned on write.
 _SNAPSHOT_KEEP = 3

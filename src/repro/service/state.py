@@ -2,12 +2,17 @@
 
 Everything one service run changes while it executes is a field of
 :class:`ArbiterState` or of a dataclass it holds: the virtual clock and
-event heap, the request and record tables with the queue and running
-lists, per-tenant stats and admission ledgers, the circuit breaker, the
-AC :class:`LeaseLedger`, the backoff RNG, the answer memo, the fault
-count and the drain sets.  Beside it the arbiter keeps only wiring
-(config, tenant specs, cache, tracer, metrics, journal, control
-schedule).
+event heap, the queued and running records, per-tenant stats and
+admission ledgers, the circuit breaker, the AC :class:`LeaseLedger`,
+the backoff RNG, the answer memo, the fault count and the drain sets.
+Beside it the arbiter keeps only wiring (config, tenant specs, the
+request table, cache, tracer, metrics, journal, control schedule).
+
+The state is *live* state: the request table is re-derived from the
+run's inputs, a record leaves the state when its request completes, and
+the memo keeps each answer's digest and cycle count, not the result.
+History stays only where the report needs it (each tenant's
+``completions`` and ``latencies``).
 
 A snapshot is therefore derived, not listed: :func:`encode_state` and
 :func:`decode_state` walk the *declared field types*, so a field added
@@ -19,11 +24,7 @@ The rules, by declared type:
   them — pass through by reference (the answer memo is never copied);
 * other lists and fixed-length tuples become lists; sets become sorted
   lists (RL009);
-* ``random.Random`` becomes its ``getstate()``;
-* a root field declared with ``metadata=_TABLE`` owns its element type:
-  those objects are written in full there and as their table index
-  everywhere else (record → request, queue/running → record), so
-  shared references survive the round trip.
+* ``random.Random`` becomes its ``getstate()``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..errors import CapacityError, FabricError
 from .admission import TenantLedger
 from .breaker import CircuitBreaker
 from .report import TenantStats
-from .request import RequestRecord, ServiceRequest
+from .request import RequestRecord
 
 __all__ = [
     "Clock",
@@ -49,10 +50,6 @@ __all__ = [
     "encode_state",
     "decode_state",
 ]
-
-#: Field metadata marking a root-state list as the table that owns its
-#: element type (see the module docstring).
-_TABLE = {"table": True}
 
 #: A heap entry: ``(tick, kind, push_seq, a, b)``.
 _Event = Tuple[int, int, int, int, int]
@@ -150,20 +147,14 @@ class ArbiterState:
     #: Seeded backoff-jitter generator.
     rng: random.Random
     clock: Clock = field(default_factory=Clock)
-    #: Every request generated so far, indexed by ``seq``.
-    requests: List[ServiceRequest] = field(
-        default_factory=list, metadata=_TABLE
-    )
-    #: Every served request's life cycle, indexed by ``index``.
-    records: List[RequestRecord] = field(
-        default_factory=list, metadata=_TABLE
-    )
+    #: Admitted requests waiting for (re-)dispatch.
     queue: List[RequestRecord] = field(default_factory=list)
+    #: Dispatched requests and in-flight cache hits, until they complete.
     running: List[RequestRecord] = field(default_factory=list)
     stats: Dict[str, TenantStats] = field(default_factory=dict)
     ledgers: Dict[str, TenantLedger] = field(default_factory=dict)
-    #: Answer memo: cell key -> result payload (JSON-native).
-    memo: Dict[str, Any] = field(default_factory=dict)
+    #: Answer memo: cell key -> ``[digest, total_cycles]``.
+    memo: Dict[str, List[Any]] = field(default_factory=dict)
     #: Container faults injected so far.
     faults: int = 0
     #: Tenants whose ``tenant_leave`` landed; arrivals shed as
@@ -175,44 +166,42 @@ class ArbiterState:
 
 # -- the codec ---------------------------------------------------------------
 
-#: While encoding, ``ctx[element type][id(obj)]`` is the table index;
-#: while decoding, ``ctx[element type]`` is the decoded table.  Encoders
-#: and decoders share the shape ``fn(value, ctx)``; ``None`` stands for
-#: "written as it is", so JSON-native values cost nothing.
-_Fn = Optional[Callable[[Any, Dict[Any, Any]], Any]]
+#: An encoder or decoder; ``None`` stands for "written as it is", so
+#: JSON-native values cost nothing.
+_Fn = Optional[Callable[[Any], Any]]
 _Pair = Tuple[_Fn, _Fn]
 
 _NATIVE = (Any, int, str, bool, float, type(None))
 
 
-def _apply(fn: _Fn, value: Any, ctx: Dict[Any, Any]) -> Any:
-    return value if fn is None else fn(value, ctx)
+def _apply(fn: _Fn, value: Any) -> Any:
+    return value if fn is None else fn(value)
 
 
 def _each(fn: _Fn) -> _Fn:
     if fn is None:
         return None
-    return lambda value, ctx: [fn(item, ctx) for item in value]
+    return lambda value: [fn(item) for item in value]
 
 
 def _optional(fn: _Fn) -> _Fn:
     if fn is None:
         return None
-    return lambda value, ctx: None if value is None else fn(value, ctx)
+    return lambda value: None if value is None else fn(value)
 
 
 def _values(fn: _Fn) -> _Fn:
     if fn is None:
         return None
-    return lambda value, ctx: {k: fn(item, ctx) for k, item in value.items()}
+    return lambda value: {k: fn(item) for k, item in value.items()}
 
 
-def _rng_encode(rng: random.Random, ctx: Dict[Any, Any]) -> List[Any]:
+def _rng_encode(rng: random.Random) -> List[Any]:
     version, internal, gauss = rng.getstate()
     return [version, list(internal), gauss]
 
 
-def _rng_decode(raw: List[Any], ctx: Dict[Any, Any]) -> random.Random:
+def _rng_decode(raw: List[Any]) -> random.Random:
     rng = random.Random(0)
     rng.setstate((raw[0], tuple(raw[1]), raw[2]))
     return rng
@@ -224,122 +213,60 @@ def _field_hints(cls: type) -> Tuple[Tuple[str, Any], ...]:
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-class _Codec:
-    """The encoder/decoder pair compiled from one root state class."""
-
-    def __init__(self, root: type) -> None:
-        self.root = root
-        #: Element type -> name of the root field that owns it.
-        self.tables = {
-            typing.get_args(hint)[0]: f.name
-            for f, (_, hint) in zip(
-                dataclasses.fields(root), _field_hints(root)
-            )
-            if f.metadata.get("table")
-        }
-        self._pairs: Dict[Any, _Pair] = {}
-        #: ``(field, encoder, decoder, owned element type or None)``,
-        #: tables first so that references decode against them.
-        self.plan: List[Tuple[str, _Fn, _Fn, Any]] = []
-        for elem, name in self.tables.items():
-            enc, dec = self._build(elem)
-            self.plan.append((name, _each(enc), _each(dec), elem))
-        for name, hint in _field_hints(root):
-            if name not in self.tables.values():
-                enc, dec = self._pair(hint)
-                self.plan.append((name, enc, dec, None))
-
-    def encode(self, state: Any) -> Dict[str, Any]:
-        ctx = {
-            elem: {id(obj): i for i, obj in enumerate(getattr(state, name))}
-            for elem, name in self.tables.items()
-        }
-        return {
-            name: _apply(encode, getattr(state, name), ctx)
-            for name, encode, _, _ in self.plan
-        }
-
-    def decode(self, doc: Dict[str, Any]) -> Any:
-        ctx: Dict[Any, Any] = {}
-        values = {}
-        for name, _, decode, elem in self.plan:
-            values[name] = _apply(decode, doc[name], ctx)
-            if elem is not None:
-                ctx[elem] = values[name]
-        return self.root(**values)
-
-    def _pair(self, hint: Any) -> _Pair:
-        if hint not in self._pairs:
-            if hint in self.tables:
-                self._pairs[hint] = (
-                    lambda value, ctx: ctx[hint][id(value)],
-                    lambda raw, ctx: ctx[hint][raw],
-                )
-            else:
-                self._pairs[hint] = self._build(hint)
-        return self._pairs[hint]
-
-    def _build(self, hint: Any) -> _Pair:
-        if hint in _NATIVE:
-            return None, None
-        if hint is random.Random:
-            return _rng_encode, _rng_decode
-        if dataclasses.is_dataclass(hint):
-            cls: Any = hint
-            plan = [(name, *self._pair(sub)) for name, sub in _field_hints(cls)]
-            return (
-                lambda value, ctx: {
-                    name: getattr(value, name)
-                    if enc is None
-                    else enc(getattr(value, name), ctx)
-                    for name, enc, _ in plan
-                },
-                lambda raw, ctx: cls(
-                    **{
-                        name: raw[name] if dec is None else dec(raw[name], ctx)
-                        for name, _, dec in plan
-                    }
-                ),
-            )
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
-        if origin is Union:
-            (inner,) = [arg for arg in args if arg is not type(None)]
-            enc, dec = self._pair(inner)
-            return _optional(enc), _optional(dec)
-        if origin is tuple:
-            pairs = [self._pair(arg) for arg in args]
-            if not any(enc or dec for enc, dec in pairs):
-                return (lambda v, ctx: list(v)), (lambda raw, ctx: tuple(raw))
-            return (
-                lambda v, ctx: [_apply(p[0], x, ctx) for x, p in zip(v, pairs)],
-                lambda raw, ctx: tuple(
-                    _apply(p[1], x, ctx) for x, p in zip(raw, pairs)
-                ),
-            )
-        if origin is set:
-            enc, dec = self._pair(args[0])
-            return (
-                lambda v, ctx: sorted(_apply(enc, x, ctx) for x in v),
-                lambda raw, ctx: {_apply(dec, x, ctx) for x in raw},
-            )
-        if origin is list:
-            enc, dec = self._pair(args[0])
-            return _each(enc), _each(dec)
-        if origin is dict and args[0] is str:
-            enc, dec = self._pair(args[1])
-            return _values(enc), _values(dec)
-        raise TypeError(f"the snapshot codec cannot handle {hint!r}")
-
-
 @functools.lru_cache(maxsize=None)
-def _codec(root: type) -> _Codec:
-    return _Codec(root)
+def _pair(hint: Any) -> _Pair:
+    """The ``(encoder, decoder)`` of one declared type."""
+    if hint in _NATIVE:
+        return None, None
+    if hint is random.Random:
+        return _rng_encode, _rng_decode
+    if dataclasses.is_dataclass(hint):
+        cls: Any = hint
+        plan = [(name, *_pair(sub)) for name, sub in _field_hints(cls)]
+        return (
+            lambda value: {
+                name: _apply(enc, getattr(value, name))
+                for name, enc, _ in plan
+            },
+            lambda raw: cls(
+                **{name: _apply(dec, raw[name]) for name, _, dec in plan}
+            ),
+        )
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        enc, dec = _pair(inner)
+        return _optional(enc), _optional(dec)
+    if origin is tuple:
+        pairs = [_pair(arg) for arg in args]
+        if not any(enc or dec for enc, dec in pairs):
+            return list, tuple
+        return (
+            lambda v: [_apply(p[0], x) for x, p in zip(v, pairs)],
+            lambda raw: tuple(_apply(p[1], x) for x, p in zip(raw, pairs)),
+        )
+    if origin is set:
+        enc, dec = _pair(args[0])
+        return (
+            lambda v: sorted(_apply(enc, x) for x in v),
+            lambda raw: {_apply(dec, x) for x in raw},
+        )
+    if origin is list:
+        enc, dec = _pair(args[0])
+        return _each(enc), _each(dec)
+    if origin is dict and args[0] is str:
+        enc, dec = _pair(args[1])
+        return _values(enc), _values(dec)
+    raise TypeError(f"the snapshot codec cannot handle {hint!r}")
 
 
 def encode_state(state: Any) -> Dict[str, Any]:
     """The JSON-able form of a root state dataclass (an
     :class:`ArbiterState` in the service)."""
-    return _codec(type(state)).encode(state)
+    encode = _pair(type(state))[0]
+    assert encode is not None
+    result: Dict[str, Any] = encode(state)
+    return result
 
 
 def decode_state(doc: Dict[str, Any], root: type = ArbiterState) -> Any:
@@ -348,4 +275,6 @@ def decode_state(doc: Dict[str, Any], root: type = ArbiterState) -> Any:
     A structurally invalid document raises ``AttributeError``,
     ``KeyError``, ``IndexError``, ``TypeError`` or ``ValueError``.
     """
-    return _codec(root).decode(doc)
+    decode = _pair(root)[1]
+    assert decode is not None
+    return decode(doc)

@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exec import (
     CODE_VERSION_SALT,
@@ -21,6 +23,7 @@ from repro.exec import (
     execute_cell,
     run_sweep,
 )
+from repro.exec.cache import canonical_json
 
 
 @pytest.fixture()
@@ -78,6 +81,27 @@ class TestKeyStability:
 
     def test_salt_changes_key(self, cell):
         assert cell_key(cell, salt="other-salt") != cell_key(cell)
+
+
+#: JSON values with nested dicts and lists, non-ASCII strings, ints far
+#: beyond 64 bits and every kind of float (NaN and infinities included).
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_JSON)
+def test_canonical_json_matches_json_dumps(value):
+    assert canonical_json(value) == json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+    )
 
 
 class TestRoundTrip:

@@ -432,6 +432,28 @@ class TestRecoveryEdges:
         assert recovered.source == "replay"
         assert_identical(report, ref_report, journal, ref_journal)
 
+    def test_format_2_snapshots_fall_back_to_replay(
+        self, tmp_path, reference
+    ):
+        """Format 2 held the request and record tables; format 3 does
+        not, so a format-2 snapshot is skipped, never half-restored."""
+        ref_report, ref_journal = reference
+        config = soak_config(snapshot_every=250)
+        journal = self.crashed_journal(tmp_path)
+        for snap in list_snapshots(journal):
+            doc = json.loads(snap.read_text())
+            doc["format"] = 2
+            snap.write_text(json.dumps(doc))
+        tracer = RecordingTracer()
+        report = recover_service(
+            fleet(), config, journal_path=journal, tracer=tracer
+        )
+        (recovered,) = [
+            e for e in tracer if isinstance(e, ServiceRecovered)
+        ]
+        assert recovered.source == "replay"
+        assert_identical(report, ref_report, journal, ref_journal)
+
     def test_torn_journal_tail_is_trimmed(self, tmp_path, reference):
         ref_report, ref_journal = reference
         config = soak_config(snapshot_every=250)
@@ -650,6 +672,40 @@ class TestLiveReconfiguration:
                 control_events=control_schedule(),
             )
             assert_identical(report, ref_report, journal, ref_journal)
+
+    def test_snapshot_after_join_rebuilds_the_joiner_stream(
+        self, tmp_path, reconfig_reference
+    ):
+        """No snapshot holds a request stream, so resuming past the join
+        proves the joiner's stream is re-derived from the inputs."""
+        ref_report, ref_journal = reconfig_reference
+        config = soak_config(snapshot_every=250)
+        journal = tmp_path / "crash.jsonl"
+        crash_run(
+            journal,
+            config,
+            control_events=control_schedule(),
+            crash_at=800,
+        )
+        newest = json.loads(list_snapshots(journal)[-1].read_text())
+        assert newest["tick"] > 400  # the latecomer joined at tick 400
+        assert "latecomer" in newest["state"]["stats"]
+        assert "requests" not in newest["state"]
+        tracer = RecordingTracer()
+        report = recover_service(
+            fleet(),
+            config,
+            journal_path=journal,
+            control_events=control_schedule(),
+            tracer=tracer,
+        )
+        (recovered,) = [
+            e for e in tracer if isinstance(e, ServiceRecovered)
+        ]
+        assert recovered.source == "snapshot"
+        assert recovered.resume_tick == newest["tick"]
+        assert_identical(report, ref_report, journal, ref_journal)
+        assert report.tenants["latecomer"].submitted > 0
 
     def test_recover_with_wrong_schedule_raises(
         self, tmp_path, reconfig_reference

@@ -33,7 +33,9 @@ from repro.service import (
     recover_service,
     run_service,
 )
+from repro.service import arbiter as arbiter_module
 from repro.service.arbiter import _Arbiter, _ServiceJournal
+from repro.service.snapshot import SNAPSHOT_FORMAT
 from repro.service.state import (
     ArbiterState,
     Clock,
@@ -42,15 +44,12 @@ from repro.service.state import (
 )
 
 
-def _sample(hint: Any, tables: Dict[Any, List[Any]], salt: int) -> Any:
+def _sample(hint: Any, salt: int) -> Any:
     """A non-default value of the declared type ``hint``.
 
     Walks the type exactly as the codec does, so a field added to any
-    state dataclass gets a sample with no edit here either.  Elements of
-    a table type are drawn from ``tables`` (shared references).
+    state dataclass gets a sample with no edit here either.
     """
-    if hint in tables:
-        return tables[hint][salt % len(tables[hint])]
     if hint is Any:
         return {"payload": [salt, "x", None, True]}
     if hint is bool:
@@ -69,40 +68,28 @@ def _sample(hint: Any, tables: Dict[Any, List[Any]], salt: int) -> Any:
         hints = typing.get_type_hints(hint)
         return hint(
             **{
-                f.name: _sample(hints[f.name], tables, salt + i)
+                f.name: _sample(hints[f.name], salt + i)
                 for i, f in enumerate(dataclasses.fields(hint))
             }
         )
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union:
         (inner,) = [arg for arg in args if arg is not type(None)]
-        return _sample(inner, tables, salt)
+        return _sample(inner, salt)
     if origin is tuple:
-        return tuple(_sample(arg, tables, salt + i) for i, arg in enumerate(args))
+        return tuple(_sample(arg, salt + i) for i, arg in enumerate(args))
     if origin is list:
-        return [_sample(args[0], tables, salt + i) for i in range(2)]
+        return [_sample(args[0], salt + i) for i in range(2)]
     if origin is set:
-        return {_sample(args[0], tables, salt + i) for i in range(2)}
+        return {_sample(args[0], salt + i) for i in range(2)}
     if origin is dict:
-        return {f"k{i}": _sample(args[1], tables, salt + i) for i in range(2)}
+        return {f"k{i}": _sample(args[1], salt + i) for i in range(2)}
     raise TypeError(f"no sample for {hint!r}")
 
 
 def _populated(root: type) -> Any:
     """A ``root`` state with every field of every dataclass non-default."""
-    hints = typing.get_type_hints(root)
-    tables: Dict[Any, List[Any]] = {}
-    values: Dict[str, Any] = {}
-    for f in dataclasses.fields(root):
-        if f.metadata.get("table"):
-            (elem,) = typing.get_args(hints[f.name])
-            tables[elem] = values[f.name] = [
-                _sample(elem, tables, salt) for salt in range(3)
-            ]
-    for i, f in enumerate(dataclasses.fields(root)):
-        if f.name not in values:
-            values[f.name] = _sample(hints[f.name], tables, i)
-    return root(**values)
+    return _sample(root, 0)
 
 
 def _round_trip(state: Any) -> Any:
@@ -124,11 +111,7 @@ def _assert_same_state(decoded: Any, original: Any) -> None:
 class TestStateCodec:
     def test_every_field_round_trips(self):
         state = _populated(ArbiterState)
-        decoded = _round_trip(state)
-        _assert_same_state(decoded, state)
-        # Cross-references decode to the table's objects, not copies.
-        assert decoded.queue[0] is decoded.records[0]
-        assert decoded.records[1].request is decoded.requests[1]
+        _assert_same_state(_round_trip(state), state)
 
     def test_every_dataclass_is_written_field_for_field(self):
         doc = encode_state(_populated(ArbiterState))
@@ -139,7 +122,9 @@ class TestStateCodec:
                 f.name for f in dataclasses.fields(hints[name])
             }
         record_fields = {f.name for f in dataclasses.fields(RequestRecord)}
-        assert all(set(raw) == record_fields for raw in doc["records"])
+        records = doc["queue"] + doc["running"]
+        assert records
+        assert all(set(raw) == record_fields for raw in records)
 
     def test_added_fields_need_no_codec_edit(self):
         extended = dataclasses.make_dataclass(
@@ -187,11 +172,13 @@ class TestStateCodec:
 # -- the arbiter holds nothing mutable outside its state -------------------
 
 #: Everything an arbiter may hold besides ``state``: fixed for its
-#: lifetime (the admission controller books into ``state.ledgers``).
+#: lifetime (the admission controller books into ``state.ledgers``;
+#: ``requests`` is the immutable request table).
 WIRING = {
     "config",
     "fleet",
     "tenants",
+    "requests",
     "cache",
     "tracer",
     "metrics",
@@ -243,6 +230,116 @@ def test_arbiter_holds_only_state_and_wiring():
     assert arbiter.tenants == tenants
     assert arbiter.admission.ledgers is arbiter.state.ledgers
     assert "latecomer" in arbiter.state.ledgers
+    assert isinstance(arbiter.requests, tuple)
+    assert [r.seq for r in arbiter.requests] == list(
+        range(len(arbiter.requests))
+    )
+
+
+# -- a snapshot holds live state only ---------------------------------------
+
+
+def _journal_live(prefix: bytes) -> Set[str]:
+    """Request ids served but not completed by a journal prefix."""
+    live: Set[str] = set()
+    for line in prefix.decode("ascii").splitlines():
+        entry = json.loads(line)
+        if entry["kind"] in ("admit", "hit"):
+            live.add(entry["request"])
+        elif entry["kind"] == "complete":
+            live.remove(entry["request"])
+    return live
+
+
+@pytest.fixture(scope="module")
+def snapshotted_soak(tmp_path_factory):
+    """A journalled soak with a tenant join, and every snapshot it wrote."""
+    written: List[Dict[str, Any]] = []
+    real = arbiter_module.write_snapshot
+
+    def capture(path, state, **kwargs):
+        written.append(json.loads(canonical_json(state)))
+        return real(path, state, **kwargs)
+
+    journal = tmp_path_factory.mktemp("soak") / "soak.jsonl"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arbiter_module, "write_snapshot", capture)
+        report = run_service(
+            fleet(),
+            ServiceConfig(**SOAK, snapshot_every=100),
+            journal_path=journal,
+            control_events=[
+                ControlEvent(
+                    tick=300,
+                    action="tenant_join",
+                    name="latecomer",
+                    spec=derive_join_tenant("latecomer", SOAK["seed"]),
+                )
+            ],
+        )
+    return report, journal.read_bytes(), written
+
+
+class TestLiveSnapshots:
+    def test_snapshots_hold_no_request_or_record_table(self, snapshotted_soak):
+        _, _, written = snapshotted_soak
+        assert len(written) >= 10
+        for snapshot in written:
+            assert snapshot["format"] == SNAPSHOT_FORMAT == 3
+            assert "requests" not in snapshot["state"]
+            assert "records" not in snapshot["state"]
+
+    def test_records_are_exactly_the_live_ones(self, snapshotted_soak):
+        _, journal, written = snapshotted_soak
+        for snapshot in written:
+            state = snapshot["state"]
+            queued = [r["request"]["request_id"] for r in state["queue"]]
+            running = [r["request"]["request_id"] for r in state["running"]]
+            assert {r["status"] for r in state["queue"]} <= {"queued"}
+            assert {r["status"] for r in state["running"]} <= {"running"}
+            assert len(set(queued + running)) == len(queued) + len(running)
+            live = _journal_live(journal[: snapshot["journal_offset"]])
+            assert set(queued + running) == live
+
+    def test_memo_values_are_digest_and_cycles(self, snapshotted_soak):
+        report, _, written = snapshotted_soak
+        served = {
+            c["digest"]
+            for stats in report.tenants.values()
+            for c in stats.completions
+        }
+        memo = written[-1]["state"]["memo"]
+        assert memo
+        for digest, cycles in memo.values():
+            assert isinstance(digest, str) and len(digest) == 16
+            assert isinstance(cycles, int) and cycles > 0
+        assert {digest for digest, _ in memo.values()} <= served
+
+
+def test_stale_completion_of_preempted_dispatch_is_ignored():
+    journal = _ServiceJournal(None)
+    arbiter = _Arbiter(
+        tenants=fleet(),
+        config=ServiceConfig(**SOAK),
+        cache=None,
+        tracer=NULL_TRACER,
+        metrics=None,
+        journal=journal,
+    )
+    first, second = arbiter.requests[:2]
+    # Re-dispatched after a preemption: the old epoch's completion is
+    # stale.  Preempted and waiting in the queue: any completion is.
+    arbiter.state.running.append(
+        RequestRecord(request=first, status="running", epoch=2)
+    )
+    arbiter.state.queue.append(
+        RequestRecord(request=second, status="queued", epoch=1)
+    )
+    before = canonical_json(encode_state(arbiter.state))
+    arbiter._on_complete(50, first.seq, 1)
+    arbiter._on_complete(50, second.seq, 1)
+    assert canonical_json(encode_state(arbiter.state)) == before
+    assert journal.offset == 0
 
 
 # -- random crash under a random control schedule ---------------------------
