@@ -286,14 +286,8 @@ def fig7_spec(
     scale: Optional[ExperimentScale] = None,
     schedulers: Sequence[str] = PAPER_SCHEDULERS,
     include_molen: bool = True,
-    engine: str = "reference",
 ) -> SweepSpec:
-    """The declarative grid behind Figure 7 / Table 2.
-
-    ``engine`` picks the trace-replay engine per cell; the engines are
-    bit-identical, so any choice regenerates the same figure (and hits
-    the same result-cache entries).
-    """
+    """The declarative grid behind Figure 7 / Table 2."""
     scale = scale or default_scale()
     return SweepSpec(
         schedulers=tuple(schedulers),
@@ -301,7 +295,6 @@ def fig7_spec(
         workload=WorkloadSpec(frames=scale.frames, seed=scale.seed),
         include_molen=include_molen,
         include_software=True,
-        engine=engine,
     )
 
 
@@ -312,18 +305,16 @@ def run_figure7(
     progress: bool = False,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    engine: str = "reference",
 ) -> Fig7Result:
     """Reproduce Figure 7 (and the data underlying Table 2).
 
     Runs every scheduler (plus the Molen baseline) at every AC count of
     the sweep on the same workload, fanned out over ``jobs`` worker
     processes and served from ``cache`` where possible (both default to
-    the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment).  ``engine``
-    selects the bit-identical trace-replay engine per cell.
+    the ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` environment).
     """
     scale = scale or default_scale()
-    spec = fig7_spec(scale, schedulers, include_molen, engine=engine)
+    spec = fig7_spec(scale, schedulers, include_molen)
     callback = None
     if progress:  # pragma: no cover - cosmetic
         def callback(outcome):
@@ -374,8 +365,7 @@ def fig7_payload(result: Fig7Result) -> Dict[str, object]:
 
     Key order and value types are pinned: serialising this dict with
     :func:`render_fig7_artifact` regenerates the committed artifact
-    byte-for-byte.  Both trace-replay engines produce the same bytes —
-    the golden tests rely on it.
+    byte-for-byte; the golden tests rely on it.
     """
     return {
         "ac_counts": list(result.ac_counts),

@@ -56,9 +56,7 @@ clean, ``1`` error, ``3`` completed with quarantined cells, ``4``
 interrupted (SIGINT/SIGTERM) after draining in-flight cells.
 
 The environment variables ``REPRO_FRAMES`` (workload frames; default 40,
-paper 140), ``REPRO_ENGINE`` (trace-replay engine for ``simulate`` and
-``sweep``: ``reference``/``vector``/``auto``; the engines are
-bit-identical), ``REPRO_JOBS`` (default worker count),
+paper 140), ``REPRO_JOBS`` (default worker count),
 ``REPRO_CACHE_DIR`` (default cache location), ``REPRO_TIMEOUT`` /
 ``REPRO_MAX_ATTEMPTS`` (supervision for any sweep-shaped command,
 including the figure drivers) and ``REPRO_CHAOS`` (chaos spec)
@@ -69,7 +67,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -107,7 +104,6 @@ from .errors import ObservabilityError, RisppError, ServiceError, SweepError
 from .fabric.faults import BernoulliLoadFaults, FaultModel, RetryPolicy
 from .h264.silibrary import h264_platform
 from .obs import TRACE_FORMATS, RecordingTracer, export_events
-from .sim.engine import ENGINES
 from .sim.rispp import RisppSimulator
 from .workload.adversarial import generate_adversarial_workload
 from .workload.model import generate_workload
@@ -276,7 +272,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         fault_model=fault_model,
         retry_policy=retry_policy,
         tracer=tracer,
-        engine=args.engine,
     )
     result = sim.run(workload)
     lines = [
@@ -318,7 +313,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         fault_rate=args.fault_rate,
         fault_seed=args.fault_seed,
         max_retries=args.max_retries,
-        engine=args.engine,
         prefetch_confidence=args.prefetch_confidence,
         prefetch_budget=args.prefetch_budget,
     )
@@ -805,16 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_ac_count_list,
         default=None,
         help="comma-separated AC counts for sweep (default: paper sweep)",
-    )
-    parser.add_argument(
-        "--engine",
-        default=os.environ.get("REPRO_ENGINE", "reference"),
-        choices=sorted(ENGINES),
-        help="trace-replay engine for simulate/sweep: the reference "
-        "per-span loop, the vectorized struct-of-arrays fast path, or "
-        "auto (vector when untraced, reference otherwise); the engines "
-        "are bit-identical, so results and cache keys do not change "
-        "(default: REPRO_ENGINE or reference)",
     )
     parser.add_argument(
         "--jobs",

@@ -12,7 +12,11 @@ II.  *Observing and adapting to changing constraints* — the
      SI execution frequencies and is updated after each hot-spot run.
 III. *Determining atom re-loading decisions* — molecule selection picks
      the target implementation per SI, and the pluggable atom scheduler
-     (Section 4) orders the loads.
+     (Section 4) orders the loads.  Both run on the array-backed tables
+     of :mod:`repro.core.scoring`, which reproduce
+     :func:`~repro.core.selection.select_molecules` and
+     :meth:`AtomScheduler.schedule` exactly; those two stay as the
+     readable statement of the paper's formalism.
 
 The manager is a pure decision component: it never advances time.  The
 behavioural simulators in :mod:`repro.sim` own the clock and feed the
@@ -38,7 +42,7 @@ from .scoring import LruMemo, fast_schedule, select_molecules_fast
 
 if TYPE_CHECKING:  # annotation-only: keeps core below the schedulers
     from .schedulers.base import AtomScheduler
-from .selection import MoleculeSelection, select_molecules
+from .selection import MoleculeSelection
 from .si import MoleculeImpl, SILibrary, SpecialInstruction
 
 __all__ = ["HotSpotPlan", "RuntimeManager"]
@@ -108,7 +112,6 @@ class RuntimeManager:
         si_names: Sequence[str],
         available: Molecule,
         num_acs: Optional[int] = None,
-        fast: bool = False,
     ) -> HotSpotPlan:
         """Select molecules and schedule atom loads for a hot-spot entry.
 
@@ -121,11 +124,6 @@ class RuntimeManager:
         (:attr:`~repro.fabric.fabric.Fabric.usable_acs`) so that plans
         keep fitting after permanent container faults.  The override
         never exceeds the configured budget.
-
-        ``fast`` routes selection and scheduling through the
-        array-friendly implementations in :mod:`repro.core.scoring`
-        (used by the vector simulation engine).  The resulting plan is
-        identical either way.
 
         Unless the scheduler's ``plan_key()`` is ``None``, an earlier
         plan for the same inputs is reused from the process-wide memo:
@@ -140,11 +138,11 @@ class RuntimeManager:
         scheduler_key = self.scheduler.plan_key()
         key = None if scheduler_key is None else (
             scheduler_key, tuple(sis), tuple(expected.items()), budget,
-            available, fast, self.validate_schedules,
+            available, self.validate_schedules,
         )
         decided = None if key is None else _PLAN_MEMO.lookup(key)
         if decided is None:
-            decided = self._plan(sis, expected, budget, available, fast)
+            decided = self._plan(sis, expected, budget, available)
             if key is not None:
                 _PLAN_MEMO.store(key, decided)
         selection, schedule = decided
@@ -161,28 +159,17 @@ class RuntimeManager:
         expected: Mapping[str, float],
         budget: int,
         available: Molecule,
-        fast: bool,
     ) -> Tuple[MoleculeSelection, Schedule]:
         """Molecule selection plus atom scheduling, uncached."""
-        if fast:
-            selection = select_molecules_fast(
-                sis, expected, budget, available=available
-            )
-        else:
-            selection = select_molecules(
-                sis, expected, budget, available=available
-            )
+        selection = select_molecules_fast(
+            sis, expected, budget, available=available
+        )
         hardware = selection.hardware_selection()
         if hardware:
             sis_map = {si.name: si for si in sis}
-            if fast:
-                schedule = fast_schedule(
-                    self.scheduler, hardware, sis_map, available, expected
-                )
-            else:
-                schedule = self.scheduler.schedule(
-                    hardware, sis_map, available, expected
-                )
+            schedule = fast_schedule(
+                self.scheduler, hardware, sis_map, available, expected
+            )
             if self.validate_schedules:
                 validate_schedule(schedule, hardware, available)
         else:

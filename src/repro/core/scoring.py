@@ -1,12 +1,13 @@
-"""Array-friendly fast paths for molecule selection and atom scheduling.
+"""Array-backed molecule selection and atom scheduling: the runtime planner.
 
 The reference decision code (:func:`repro.core.selection.select_molecules`
 and the :class:`~repro.core.schedulers.base.SchedulerState` bookkeeping)
-spends most of its time in per-candidate :class:`Molecule` lattice calls —
-tuple allocations and hashes dominate a profile of any sweep.  This module
-re-expresses exactly the same computations over numpy struct-of-arrays
-views so the vector simulation engine (:mod:`repro.sim.vector`) can plan
-hot spots quickly.
+states the paper's formalism over :class:`Molecule` lattice calls, whose
+tuple allocations and hashes would dominate a profile of any sweep.  This
+module re-expresses exactly the same computations over numpy
+struct-of-arrays views; :meth:`repro.core.runtime.RuntimeManager.plan_hot_spot`
+and the Molen baseline plan every hot spot through it, and the reference
+code stays as the readable statement and the test oracle.
 
 Bit-identity is the contract, not a goal: every operation here either
 
@@ -20,9 +21,9 @@ Bit-identity is the contract, not a goal: every operation here either
   cross-multiplied scan is order-dependent in near-tie rounding, so it is
   rerun sequentially over precomputed arrays instead of via ``argmax``).
 
-The engines must agree field-for-field on every
-:class:`~repro.sim.results.SimulationResult`; the differential harness in
-``tests/test_vector_differential.py`` enforces it.
+``tests/test_plan_memo.py`` checks plans against the reference code over
+the Figure 7 forecasts, and ``tests/data/golden_engine_results.json`` pins
+whole simulation results made with the reference planner.
 
 The expensive part of building the array views — stacking every
 implementation's atom vector into int64 matrices — depends only on the

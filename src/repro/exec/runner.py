@@ -117,7 +117,6 @@ def execute_cell(
             retry_policy=retry_policy,
             tracer=tracer,
             metrics=metrics,
-            engine=cell.engine,
         )
     else:  # Molen
         sim = MolenSimulator(
@@ -129,7 +128,6 @@ def execute_cell(
             retry_policy=retry_policy,
             tracer=tracer,
             metrics=metrics,
-            engine=cell.engine,
         )
     return sim.run(workload)
 

@@ -29,9 +29,6 @@ __all__ = ["WorkloadSpec", "SweepCell", "SweepSpec"]
 #: Systems a cell can simulate.
 _SYSTEMS = ("RISPP", "Molen", "Software")
 
-#: Trace-replay engines a cell can request (see repro.sim.engine.ENGINES).
-_ENGINES = ("reference", "vector", "auto")
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -143,11 +140,6 @@ class SweepCell:
     fault_rate: float = 0.0
     fault_seed: int = 2008
     max_retries: int = 3
-    #: Trace-replay engine (``reference``/``vector``/``auto``).  The
-    #: engines are bit-identical, so the choice is an execution detail,
-    #: not part of the cell's identity — it is deliberately excluded
-    #: from :meth:`to_config` and therefore from the cache key.
-    engine: str = "reference"
     #: PREFETCH scheduler knobs; only consulted (and only part of the
     #: cell's config/cache identity) when ``scheduler == "PREFETCH"``.
     prefetch_confidence: float = 0.6
@@ -163,10 +155,6 @@ class SweepCell:
         if not 0.0 <= self.fault_rate <= 1.0:
             raise SimulationError(
                 f"fault rate must be within [0, 1], got {self.fault_rate!r}"
-            )
-        if self.engine not in _ENGINES:
-            raise SimulationError(
-                f"unknown engine {self.engine!r}; known: {sorted(_ENGINES)}"
             )
         if not 0.0 <= self.prefetch_confidence <= 1.0:
             raise SimulationError(
@@ -234,7 +222,6 @@ class SweepSpec:
     fault_rate: float = 0.0
     fault_seed: int = 2008
     max_retries: int = 3
-    engine: str = "reference"
     #: PREFETCH knobs, applied to every PREFETCH cell of the grid (inert
     #: for the other schedulers).
     prefetch_confidence: float = 0.6
@@ -243,10 +230,6 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedulers", tuple(self.schedulers))
         object.__setattr__(self, "ac_counts", tuple(self.ac_counts))
-        if self.engine not in _ENGINES:
-            raise SimulationError(
-                f"unknown engine {self.engine!r}; known: {sorted(_ENGINES)}"
-            )
 
     def cells(self) -> List[SweepCell]:
         """Enumerate the grid, deterministically ordered.
@@ -269,7 +252,6 @@ class SweepSpec:
                         fault_rate=self.fault_rate,
                         fault_seed=self.fault_seed,
                         max_retries=self.max_retries,
-                        engine=self.engine,
                         prefetch_confidence=self.prefetch_confidence,
                         prefetch_budget=self.prefetch_budget,
                     )
@@ -284,7 +266,6 @@ class SweepSpec:
                         fault_rate=self.fault_rate,
                         fault_seed=self.fault_seed,
                         max_retries=self.max_retries,
-                        engine=self.engine,
                     )
                 )
         if self.include_software:
@@ -293,7 +274,6 @@ class SweepSpec:
                     system="Software",
                     num_acs=0,
                     workload=self.workload,
-                    engine=self.engine,
                 )
             )
         return cells

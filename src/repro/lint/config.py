@@ -86,7 +86,7 @@ RULE_DEFAULTS: Dict[str, Dict[str, Any]] = {
     },
     "RL005": {
         "enabled": True,
-        # The vector engine's benefit comparisons must stay as
+        # The trace replay's benefit comparisons must stay as
         # division-free as the schedulers they mirror (the hardware
         # comparator has no divider).
         "include": ["repro/core/schedulers/*", "repro/sim/vector*"],
@@ -228,9 +228,9 @@ RULE_DEFAULTS: Dict[str, Dict[str, Any]] = {
     },
     "RL010": {
         "enabled": True,
-        # The integer-exact zones: scheduler benefit logic, both
-        # trace-replay engines, and every service module (the virtual
-        # clock and the arbiter state it drives).
+        # The integer-exact zones: scheduler benefit logic, the trace
+        # replay (engine and executor), and every service module (the
+        # virtual clock and the arbiter state it drives).
         "include": [
             "repro/core/schedulers/*",
             "repro/sim/engine.py",

@@ -7,15 +7,16 @@ The engine owns the clock.  For every hot-spot invocation it
    which order, and which atoms the plan retains),
 3. hands the load sequence to the reconfiguration port, and
 4. replays the trace's iterations against the evolving atom
-   availability.
+   availability (:class:`~repro.sim.vector.VectorExecutor`).
 
 Step 4 exploits that SI latencies are piecewise constant: they only
-change when the port completes an atom.  The engine therefore advances
-*analytically* from completion to completion — one numpy cumulative sum
-finds how many whole iterations fit before the next completion — instead
-of ticking cycle by cycle.  An iteration that straddles a completion
-finishes at its old latencies (the pipeline cannot retarget a running
-SI), and the upgrade takes effect from the next iteration on.
+change when the port completes an atom.  The replay therefore advances
+*analytically* from completion to completion — one search over the
+trace's cumulative-cycles curve finds how many whole iterations fit
+before the next completion — instead of ticking cycle by cycle.  An
+iteration that straddles a completion finishes at its old latencies
+(the pipeline cannot retarget a running SI), and the upgrade takes
+effect from the next iteration on.
 
 This makes a full 140-frame, 20-AC-count, 4-scheduler sweep run in
 seconds while remaining exact for the modelled semantics.
@@ -26,8 +27,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.molecule import Molecule
 from ..core.si import MoleculeImpl, SILibrary
 from ..errors import SimulationError
@@ -37,15 +36,7 @@ from ..fabric.fabric import Fabric
 from ..fabric.faults import FaultModel, NoFaults, RetryPolicy
 from ..fabric.reconfig import ReconfigPort
 from ..isa.processor import BaseProcessor
-from ..obs.events import (
-    DegradedEnter,
-    DegradedExit,
-    HotSpotSwitch,
-    RunEnd,
-    RunStart,
-    SchedulerDecision,
-    SIUpgrade,
-)
+from ..obs.events import HotSpotSwitch, RunEnd, RunStart, SchedulerDecision
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..workload.trace import HotSpotTrace, Workload
 from .results import LatencyEvent, Segment, SimulationResult
@@ -56,10 +47,7 @@ if TYPE_CHECKING:
     # the tracer protocol; the metrics registry is injected by callers.
     from ..obs.metrics import MetricsRegistry
 
-__all__ = ["SystemSimulator", "ENGINES"]
-
-#: Valid values of the ``engine`` parameter.
-ENGINES = frozenset({"reference", "vector", "auto"})
+__all__ = ["SystemSimulator"]
 
 
 class SystemSimulator(ABC):
@@ -93,17 +81,6 @@ class SystemSimulator(ABC):
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         wall-clock scheduler-decision timings and end-of-run gauges.
         Wall-clock readings never enter the (deterministic) event log.
-    engine:
-        Trace-replay engine: ``"reference"`` (the per-span loop below),
-        ``"vector"`` (the numpy fast path of :mod:`repro.sim.vector`),
-        or ``"auto"``.  The two engines are bit-identical, so the choice
-        never changes results — only wall-clock speed.  The vector path
-        emits no trace events, so ``"vector"`` and ``"auto"`` silently
-        fall back to the reference engine whenever a tracer is enabled.
-        Systems can force the same fallback via :meth:`_forces_reference`
-        — the RISPP simulator does when cross-hot-spot prefetching is
-        active, since speculative loads cross the phase boundaries the
-        vector executor batches over.
     """
 
     #: Reported in results as the system column.
@@ -121,15 +98,10 @@ class SystemSimulator(ABC):
         retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        engine: str = "reference",
     ):
         if registry.space != library.space:
             raise SimulationError(
                 "atom registry and SI library use different atom spaces"
-            )
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}"
             )
         self.library = library
         self.registry = registry
@@ -144,10 +116,6 @@ class SystemSimulator(ABC):
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.engine = engine
-        #: True while a run is replaying through the vector executor;
-        #: planners may route to the array-friendly scoring fast path.
-        self._vector_active = False
         self.fabric = Fabric(
             registry,
             num_acs,
@@ -160,10 +128,7 @@ class SystemSimulator(ABC):
             retry_policy=self.retry_policy,
             tracer=self.tracer,
         )
-        self._sis = {si.name: si for si in library}
         self._degraded_cycles = 0
-        self._obs_last_latency: Dict[str, int] = {}
-        self._obs_degraded = False
         #: Cross-hot-spot prefetch accounting (stays zero unless a
         #: concrete system speculates; see :mod:`repro.sim.rispp`).
         self._prefetch_issued = 0
@@ -199,16 +164,6 @@ class SystemSimulator(ABC):
     def _finish(self, trace: HotSpotTrace, context: object) -> None:
         """Hook called after a hot-spot invocation completed."""
 
-    def _forces_reference(self) -> bool:
-        """Whether this system requires the reference trace-replay loop.
-
-        Mirrors the tracer fallback: ``"vector"`` and ``"auto"`` resolve
-        to the reference engine when this returns True.  The base
-        implementation never forces; RISPP does while cross-hot-spot
-        prefetching is active.
-        """
-        return False
-
     def _after_plan(
         self, trace: HotSpotTrace, context: object, now: int
     ) -> None:
@@ -234,8 +189,7 @@ class SystemSimulator(ABC):
         availability).  A system whose dispatch depends on more than the
         availability must fold that extra state into the key; ``None``
         (the safe default) disables memoization entirely — dispatch is
-        then recomputed through the reference :meth:`_impl_for` on every
-        span.
+        then recomputed through :meth:`_impl_for` on every span.
         """
         return None
 
@@ -250,7 +204,7 @@ class SystemSimulator(ABC):
         dispatch-memo misses with one array feasibility scan instead of
         per-SI molecule walks.  The list must contain at least one
         always-feasible entry (a software implementation).  ``None``
-        (the default) keeps the reference :meth:`_impl_for` miss path.
+        (the default) resolves misses per SI through :meth:`_impl_for`.
         """
         return None
 
@@ -278,24 +232,6 @@ class SystemSimulator(ABC):
 
     # -- main loop -------------------------------------------------------------------
 
-    def _resolve_engine(self) -> str:
-        """The engine a run starting now would actually use.
-
-        ``"vector"`` and ``"auto"`` resolve to the vector executor only
-        when no tracer is attached: the vector path constructs no event
-        objects (that is where its speed comes from), so traced runs
-        always take the reference loop.  Systems that speculate across
-        phase boundaries (:meth:`_forces_reference`) fall back the same
-        way.  Results are bit-identical either way.
-        """
-        if (
-            self.engine == "reference"
-            or self.tracer.enabled
-            or self._forces_reference()
-        ):
-            return "reference"
-        return "vector"
-
     def reset(self) -> None:
         """Cold-start the fabric, port and fault model (fresh run).
 
@@ -313,8 +249,6 @@ class SystemSimulator(ABC):
             tracer=self.tracer,
         )
         self._degraded_cycles = 0
-        self._obs_last_latency = {}
-        self._obs_degraded = False
         self._prefetch_issued = 0
         self._prefetch_hits = 0
         self._prefetch_wasted = 0
@@ -323,10 +257,7 @@ class SystemSimulator(ABC):
     def run(self, workload: Workload) -> SimulationResult:
         """Replay ``workload`` and return the accounted result."""
         self.reset()
-        vexec: Optional[VectorExecutor] = None
-        if self._resolve_engine() == "vector":
-            vexec = VectorExecutor(self)
-        self._vector_active = vexec is not None
+        vexec = VectorExecutor(self)
         now = 0
         hot_spot_cycles: Dict[str, int] = {}
         frame_cycles: Dict[int, int] = {}
@@ -335,7 +266,6 @@ class SystemSimulator(ABC):
         latency_events: Optional[List[LatencyEvent]] = (
             [] if self.record_segments else None
         )
-        last_latency: Dict[str, int] = {}
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(
@@ -379,16 +309,7 @@ class SystemSimulator(ABC):
                 )
             self.port.replace_queue(list(atom_sequence), retained, now)
             self._after_plan(trace, context, now)
-            if vexec is not None:
-                now = vexec.execute(
-                    trace, context, now, segments, latency_events,
-                    last_latency,
-                )
-            else:
-                now = self._execute(
-                    trace, context, now, segments, latency_events,
-                    last_latency,
-                )
+            now = vexec.execute(trace, context, now, segments, latency_events)
             for si_name, count in trace.totals().items():
                 si_totals[si_name] = si_totals.get(si_name, 0) + count
             self._finish(trace, context)
@@ -400,7 +321,6 @@ class SystemSimulator(ABC):
                 frame_cycles.get(trace.frame_index, 0) + elapsed
             )
 
-        self._vector_active = False
         self._run_epilogue(now)
         if tracer.enabled:
             tracer.emit(RunEnd(cycle=now, total_cycles=now))
@@ -444,105 +364,3 @@ class SystemSimulator(ABC):
             segments=segments,
             latency_events=latency_events,
         )
-
-    # -- trace replay -------------------------------------------------------------------
-
-    def _effective_latencies(
-        self, trace: HotSpotTrace, available: Molecule, context: object
-    ) -> Tuple[np.ndarray, Molecule]:
-        """Per-SI effective latency vector and the atoms in active use."""
-        latencies = np.empty(len(trace.si_names), dtype=np.float64)
-        used = available.space.zero()
-        for col, si_name in enumerate(trace.si_names):
-            impl = self._impl_for(si_name, available, context)
-            latencies[col] = self.processor.si_execution_cycles(impl)
-            if not impl.is_software:
-                used = used | impl.atoms
-        return latencies, used
-
-    def _execute(
-        self,
-        trace: HotSpotTrace,
-        context: object,
-        now: int,
-        segments: Optional[List[Segment]],
-        latency_events: Optional[List[LatencyEvent]],
-        last_latency: Dict[str, int],
-    ) -> int:
-        counts = trace.counts
-        n_iterations = trace.iterations
-        overhead = trace.overhead_per_iteration
-        i = 0
-        tracer = self.tracer
-        while i < n_iterations:
-            self.port.advance_to(now)
-            available = self.fabric.available()
-            latvec, used = self._effective_latencies(trace, available, context)
-            if tracer.enabled:
-                for col, si_name in enumerate(trace.si_names):
-                    lat = int(latvec[col])
-                    if self._obs_last_latency.get(si_name) != lat:
-                        self._obs_last_latency[si_name] = lat
-                        impl = self._impl_for(si_name, available, context)
-                        tracer.emit(
-                            SIUpgrade(
-                                cycle=now,
-                                si_name=si_name,
-                                molecule=impl.name,
-                                latency=lat,
-                                software=impl.is_software,
-                            )
-                        )
-            if latency_events is not None:
-                for col, si_name in enumerate(trace.si_names):
-                    lat = int(latvec[col])
-                    if last_latency.get(si_name) != lat:
-                        last_latency[si_name] = lat
-                        latency_events.append(
-                            LatencyEvent(cycle=now, si_name=si_name, latency=lat)
-                        )
-            remaining = counts[i:]
-            per_iteration = remaining @ latvec + overhead
-            cumulative = np.cumsum(per_iteration)
-            next_event = self.port.next_completion()
-            if next_event is None or now + cumulative[-1] <= next_event:
-                k = n_iterations - i
-            else:
-                budget = next_event - now
-                # Iterations strictly before the completion, plus the one
-                # in flight when it lands (old latencies apply to it).
-                k = int(np.searchsorted(cumulative, budget, side="left")) + 1
-                k = min(k, n_iterations - i)
-            span = int(cumulative[k - 1])
-            # Degraded operation: the fabric lost containers, or the
-            # port is burning its time budget on a retry.  Summed up so
-            # experiments can quantify the fault-induced slowdown.
-            degraded = self.fabric.is_degraded or self.port.is_retrying
-            if tracer.enabled and degraded != self._obs_degraded:
-                self._obs_degraded = degraded
-                tracer.emit(
-                    DegradedEnter(cycle=now)
-                    if degraded
-                    else DegradedExit(cycle=now)
-                )
-            if degraded:
-                self._degraded_cycles += span
-            if segments is not None:
-                executed = remaining[:k].sum(axis=0)
-                segments.append(
-                    Segment(
-                        t0=now,
-                        t1=now + span,
-                        frame_index=trace.frame_index,
-                        hot_spot=trace.hot_spot,
-                        si_names=trace.si_names,
-                        executions=tuple(int(e) for e in executed),
-                        latencies=tuple(int(lat) for lat in latvec),
-                        degraded=degraded,
-                    )
-                )
-            now += span
-            i += k
-            if not used.is_zero:
-                self.fabric.touch_atoms(used, now)
-        return now

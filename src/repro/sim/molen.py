@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.molecule import Molecule
 from ..core.monitor import ExecutionMonitor
 from ..core.scoring import select_molecules_fast
-from ..core.selection import MoleculeSelection, select_molecules
+from ..core.selection import MoleculeSelection
 from ..core.si import MoleculeImpl, SILibrary
 from ..fabric.atom import AtomRegistry
 from ..isa.processor import BaseProcessor
@@ -59,7 +59,6 @@ class MolenSimulator(SystemSimulator):
         retry_policy=None,
         tracer=None,
         metrics=None,
-        engine="reference",
     ):
         super().__init__(
             library,
@@ -72,7 +71,6 @@ class MolenSimulator(SystemSimulator):
             retry_policy=retry_policy,
             tracer=tracer,
             metrics=metrics,
-            engine=engine,
         )
         self.monitor = monitor if monitor is not None else ExecutionMonitor()
 
@@ -92,15 +90,10 @@ class MolenSimulator(SystemSimulator):
     ) -> Tuple[Sequence[str], Molecule, _MolenContext]:
         sis = self.library.subset(trace.si_names)
         expected = self.monitor.predict(trace.hot_spot, trace.si_names)
-        if self._vector_active:
-            selection = select_molecules_fast(
-                # The effective budget shrinks when containers die.
-                sis, expected, self.fabric.usable_acs, available=available
-            )
-        else:
-            selection = select_molecules(
-                sis, expected, self.fabric.usable_acs, available=available
-            )
+        selection = select_molecules_fast(
+            # The effective budget shrinks when containers die.
+            sis, expected, self.fabric.usable_acs, available=available
+        )
         # Load order: most important SI first, whole molecules back to
         # back.  Atoms already on the fabric are reused.
         importance: List[Tuple[float, str]] = []

@@ -21,8 +21,7 @@ next switch
 the speculation is settled: atoms the materialised phase's plan wants
 are hits (their loads are simply no longer needed — overhead hidden),
 everything else is wasted and accounted, including the bus cycles it
-burned.  Speculation forces the reference trace-replay engine, exactly
-like an attached tracer does.
+burned.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class RisppSimulator(SystemSimulator):
         retry_policy=None,
         tracer=None,
         metrics=None,
-        engine="reference",
     ):
         super().__init__(
             library,
@@ -95,7 +93,6 @@ class RisppSimulator(SystemSimulator):
             retry_policy=retry_policy,
             tracer=tracer,
             metrics=metrics,
-            engine=engine,
         )
         self.runtime = RuntimeManager(
             library,
@@ -125,11 +122,6 @@ class RisppSimulator(SystemSimulator):
         return (
             isinstance(scheduler, PrefetchScheduler) and scheduler.speculates
         )
-
-    def _forces_reference(self) -> bool:
-        # Speculative loads cross the phase boundaries the vector
-        # executor batches over; mirror the tracer fallback.
-        return self._speculating
 
     def reset(self) -> None:
         """Cold-start fabric, port *and* the monitor's learned state, so
@@ -163,7 +155,6 @@ class RisppSimulator(SystemSimulator):
             # Plan against the *effective* budget: permanently failed
             # containers must not be counted on.
             num_acs=self.fabric.usable_acs,
-            fast=self._vector_active,
         )
         # Retain what the plan targets *plus* what is currently loaded and
         # still part of the target — eviction only touches true leftovers.

@@ -1,35 +1,38 @@
-"""Vectorized trace replay — the ``engine="vector"`` fast path.
+"""Trace replay — the span-exact executor behind every simulation run.
 
-The reference executor (:meth:`repro.sim.engine.SystemSimulator._execute`)
-already advances analytically from port completion to port completion,
-but it rebuilds the per-SI latency vector from scratch on every span:
-one :meth:`fastest_available` lattice walk per SI per span, plus a fresh
-cumulative sum over the remaining iterations.  On paper-scale sweeps
-those per-span rebuilds dominate the profile.
+SI latencies are piecewise constant: they only change when the
+reconfiguration port completes an atom.  The executor therefore
+replays a trace span by span, from port completion to port completion,
+over struct-of-arrays views instead of ticking iteration by iteration:
 
-This module replays the identical span algebra over precomputed
-struct-of-arrays views:
-
-* per trace, the execution counts are folded once into int64 row-prefix
-  sums ``P`` (shape ``(iterations + 1, num_sis)``), so any span's work is
-  a difference of two rows;
+* per trace, the execution counts are folded into int64 row-prefix sums
+  ``P`` (shape ``(iterations + 1, num_sis)``), so any span's work is a
+  difference of two rows;
 * per latency vector, the cumulative-cycles curve
-  ``W[t] = P[t] @ latencies + t * overhead`` is built once and cached —
-  a span boundary becomes a single ``searchsorted`` on ``W``;
-* per (dispatch key, availability) pair, the SI dispatch — which runs
-  the *reference* :meth:`_impl_for` on a cache miss — is memoized, so
-  the lattice walks happen once per distinct fabric state instead of
-  once per span.
+  ``W[t] = P[t] @ latencies + t * overhead`` is built once per trace
+  replay — a span boundary becomes a single ``searchsorted`` on ``W``;
+* per (dispatch key, availability) pair, the SI dispatch is memoized,
+  so the feasibility scans happen once per distinct fabric state instead
+  of once per span.
 
-All accounting stays in int64 (the reference's float64 intermediates are
-integer-valued and exact below 2**53, so the integer math reproduces
-them bit-for-bit), and this module is division-free by construction —
-RL005 scans it alongside the schedulers.
+The per-trace arrays live only while :meth:`VectorExecutor.execute`
+runs: a run replays each trace once, so keeping them would only grow
+memory.  The dispatch memo, keyed by the SI set, does persist across
+the run's traces.
 
-The vector path is only ever active with the tracer disabled (see
-:meth:`SystemSimulator._resolve_engine`): it emits no events, and
-untraced runs are bit-identical to the reference by the differential
-harness in ``tests/test_vector_differential.py``.
+With a tracer attached the executor emits the span-level events —
+:class:`~repro.obs.events.SIUpgrade` whenever an SI's effective latency
+changes and ``DegradedEnter``/``DegradedExit`` whenever the degraded
+flag flips — each under ``if tracer.enabled``, so untraced runs build no
+event objects.  Cross-hot-spot speculation needs no special case: the
+next completion is read from whatever load the port has in flight,
+speculative or not, and speculative completions bump the fabric's
+``_loaded_ver`` like any other.
+
+All accounting stays in int64 and Python ints, and this module is
+division-free by construction — RL005 scans it alongside the
+schedulers.  ``tests/data/golden_engine_results.json`` pins its results
+field for field against the per-span reference loop it replaced.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.molecule import Molecule
+from ..obs.events import DegradedEnter, DegradedExit, SIUpgrade
 from ..workload.trace import HotSpotTrace
 from .results import LatencyEvent, Segment
 
@@ -48,8 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["VectorExecutor"]
 
-#: (latencies per SI, atoms in active use or None).
-_DispatchEntry = Tuple[Tuple[int, ...], Optional[Molecule]]
+#: (latencies per SI, atoms in active use or None, implementation per SI).
+_DispatchEntry = Tuple[
+    Tuple[int, ...], Optional[Molecule], Tuple["MoleculeImpl", ...]
+]
 
 #: Stacked dispatch preference tables: all SIs' preference rows in one
 #: matrix (rows_all, rank, segment offsets, cycles per row, impls).
@@ -59,7 +65,7 @@ _PrefTable = Tuple[
 
 
 class _TraceArrays:
-    """Per-trace prefix sums and the latency-vector cycle-curve cache."""
+    """One trace's prefix sums and its latency-vector cycle curves."""
 
     __slots__ = ("prefix", "steps", "w_cache")
 
@@ -93,7 +99,7 @@ class _TraceArrays:
 
 
 class VectorExecutor:
-    """Span-exact replay of one run's traces over cached arrays.
+    """Span-exact replay of one run's traces.
 
     One executor lives for one :meth:`SystemSimulator.run` call; its
     dispatch memo persists across traces (RISPP dispatch depends only on
@@ -104,21 +110,20 @@ class VectorExecutor:
     def __init__(self, sim: "SystemSimulator") -> None:
         self._sim = sim
         self._space = sim.library.space
-        self._atom_pos = {
-            name: i for i, name in enumerate(self._space.names)
-        }
         self._num_atoms = self._space.size
-        # Keyed by id(); the stored trace reference keeps the object
-        # alive so the id cannot be recycled while the cache holds it.
-        self._traces: Dict[int, Tuple[HotSpotTrace, _TraceArrays]] = {}
         # Two-level memo: dispatch key -> availability -> entry.  The
         # outer lookup happens once per trace replay, so the per-span
         # cost is one small-tuple hash.
         self._memo: Dict[object, Dict[Tuple[int, ...], _DispatchEntry]] = {}
         # Per dispatch key: the stacked preference tables, or None when
-        # the system keeps the reference miss path (see
+        # misses go through the system's _impl_for (see
         # SystemSimulator._dispatch_preference).
         self._pref: Dict[object, Optional[_PrefTable]] = {}
+        # The latency last reported per SI and the degraded flag last
+        # reported: latency and degraded events report changes only,
+        # across the whole run.
+        self._reported: Dict[str, int] = {}
+        self._degraded = False
         self._avail_ver: Optional[int] = None
         self._avail_cache: Tuple[int, ...] = ()
 
@@ -149,13 +154,12 @@ class VectorExecutor:
         avail_counts: Tuple[int, ...],
     ) -> _DispatchEntry:
         sim = self._sim
-        latencies: List[int] = []
         if tables is not None:
             # First feasible row of each SI's preference segment — by
             # construction the same implementation _impl_for returns.
             # The rows are preference-ordered, so "first feasible" is
             # the minimum preference rank among feasible rows.
-            rows_all, rank, offsets, cycles, _impls = tables
+            rows_all, rank, offsets, cycles, impls_all = tables
             avail_arr = np.array(avail_counts, dtype=np.int64)
             feasible = (rows_all <= avail_arr).all(axis=1)
             masked = np.where(feasible, rank, len(cycles))
@@ -164,30 +168,29 @@ class VectorExecutor:
             # rows are all-zero, so the atoms in active use fall out of
             # one reduction over the chosen rows.
             used_counts = rows_all[first].max(axis=0).tolist()
-            lat_tuple = tuple(cycles[j] for j in first.tolist())
-            entry: _DispatchEntry = (
-                lat_tuple,
+            chosen = first.tolist()
+            return (
+                tuple(cycles[j] for j in chosen),
                 Molecule._make(self._space, tuple(used_counts))
                 if any(used_counts)
                 else None,
+                tuple(impls_all[j] for j in chosen),
             )
-        else:
-            # Fallback: run the reference dispatch so the vector path
-            # can never disagree with it.
-            available = Molecule(self._space, avail_counts)
-            used = self._space.zero()
-            for si_name in trace.si_names:
-                impl = sim._impl_for(si_name, available, context)
-                latencies.append(
-                    int(sim.processor.si_execution_cycles(impl))
-                )
-                if not impl.is_software:
-                    used = used | impl.atoms
-            entry = (
-                tuple(latencies),
-                None if used.is_zero else used,
-            )
-        return entry
+        # No preference tables: ask the system per SI.
+        available = Molecule(self._space, avail_counts)
+        used = self._space.zero()
+        impls = tuple(
+            sim._impl_for(si_name, available, context)
+            for si_name in trace.si_names
+        )
+        for impl in impls:
+            if not impl.is_software:
+                used = used | impl.atoms
+        return (
+            tuple(int(sim.processor.si_execution_cycles(i)) for i in impls),
+            None if used.is_zero else used,
+            impls,
+        )
 
     def _pref_tables(
         self, trace: HotSpotTrace, context: object
@@ -196,7 +199,7 @@ class VectorExecutor:
 
         Requires every column to provide a preference list containing an
         always-feasible (zero-atom) entry; otherwise returns None and
-        dispatch misses keep the reference path.
+        dispatch misses go through the system's ``_impl_for``.
         """
         sim = self._sim
         impls_all: List["MoleculeImpl"] = []
@@ -233,19 +236,20 @@ class VectorExecutor:
         now: int,
         segments: Optional[List[Segment]],
         latency_events: Optional[List[LatencyEvent]],
-        last_latency: Dict[str, int],
     ) -> int:
-        """Replay one trace; same contract as the reference ``_execute``."""
+        """Replay one trace from cycle ``now``; return the end cycle.
+
+        Appends to ``segments``/``latency_events`` when they are lists,
+        emits the span events when the tracer is enabled, and keeps the
+        fabric's LRU stamps current.
+        """
         sim = self._sim
         port = sim.port
         fabric = sim.fabric
+        tracer = sim.tracer
+        si_names = trace.si_names
         iterations = trace.iterations
-        entry = self._traces.get(id(trace))
-        if entry is None:
-            arrays = _TraceArrays(trace)
-            self._traces[id(trace)] = (trace, arrays)
-        else:
-            arrays = entry[1]
+        arrays = _TraceArrays(trace)
         memo_key = sim._dispatch_memo_key(trace, context)
         memo: Optional[Dict[Tuple[int, ...], _DispatchEntry]] = None
         tables: Optional[_PrefTable] = None
@@ -265,20 +269,31 @@ class VectorExecutor:
                 entry = self._dispatch(trace, context, tables, avail_counts)
                 if memo is not None:
                     memo[avail_counts] = entry
-            lat_tuple, used = entry
+            lat_tuple, used, impls = entry
             curve_arr, curve_list = arrays.cycles_curve(lat_tuple)
-            if latency_events is not None:
-                for col, si_name in enumerate(trace.si_names):
+            if tracer.enabled or latency_events is not None:
+                for col, si_name in enumerate(si_names):
                     lat = lat_tuple[col]
-                    if last_latency.get(si_name) != lat:
-                        last_latency[si_name] = lat
+                    if self._reported.get(si_name) == lat:
+                        continue
+                    self._reported[si_name] = lat
+                    if latency_events is not None:
                         latency_events.append(
                             LatencyEvent(
                                 cycle=now, si_name=si_name, latency=lat
                             )
                         )
-            in_flight = port._in_flight is not None
-            next_event = port._busy_until if in_flight else None
+                    if tracer.enabled:
+                        tracer.emit(
+                            SIUpgrade(
+                                cycle=now,
+                                si_name=si_name,
+                                molecule=impls[col].name,
+                                latency=lat,
+                                software=impls[col].is_software,
+                            )
+                        )
+            next_event = port.next_completion()
             curve_i = curve_list[i]
             total = curve_list[iterations] - curve_i
             if next_event is None or now + total <= next_event:
@@ -291,9 +306,16 @@ class VectorExecutor:
                 k = int(curve_arr.searchsorted(target, side="left")) - i
                 k = min(k, iterations - i)
             span = curve_list[i + k] - curve_i
-            degraded = fabric._dead > 0 or (
-                in_flight and port._in_flight_failures > 0
-            )
+            # Degraded operation: the fabric lost containers, or the
+            # port is burning its time budget on a retry.
+            degraded = fabric.is_degraded or port.is_retrying
+            if tracer.enabled and degraded != self._degraded:
+                self._degraded = degraded
+                tracer.emit(
+                    DegradedEnter(cycle=now)
+                    if degraded
+                    else DegradedExit(cycle=now)
+                )
             if degraded:
                 sim._degraded_cycles += span
             if segments is not None:
@@ -304,7 +326,7 @@ class VectorExecutor:
                         t1=now + span,
                         frame_index=trace.frame_index,
                         hot_spot=trace.hot_spot,
-                        si_names=trace.si_names,
+                        si_names=si_names,
                         executions=tuple(int(e) for e in executed),
                         latencies=lat_tuple,
                         degraded=degraded,

@@ -191,3 +191,64 @@ class TestResultSerialization:
         assert rebuilt == result
         assert rebuilt.segments is None
         assert rebuilt.latency_events is None
+
+
+class TestReplayMemory:
+    """The executor keeps no per-trace arrays once a trace is replayed.
+
+    A run replays each trace once, so a per-trace array cache never hits
+    and only grows: it once cost a PREFETCH sweep about a quarter more
+    peak memory.
+    """
+
+    @staticmethod
+    def _held_arrays(executor):
+        """Every array reachable through the executor's own containers."""
+        from repro.sim.vector import _TraceArrays
+
+        found = []
+        stack = list(vars(executor).values())
+        seen = set()
+        while stack:
+            value = stack.pop()
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if isinstance(value, (np.ndarray, _TraceArrays)):
+                found.append(value)
+            elif isinstance(value, dict):
+                stack.extend(value.keys())
+                stack.extend(value.values())
+            elif isinstance(value, (list, tuple)):
+                stack.extend(value)
+        return found
+
+    def test_no_trace_arrays_after_execute(
+        self, h264_library, h264_registry, monkeypatch
+    ):
+        from repro import generate_workload
+        from repro.sim import engine
+        from repro.sim.vector import VectorExecutor, _TraceArrays
+
+        executors = []
+
+        class Recording(VectorExecutor):
+            def __init__(self, sim):
+                super().__init__(sim)
+                executors.append(self)
+
+        monkeypatch.setattr(engine, "VectorExecutor", Recording)
+
+        def held_bytes(frames):
+            executors.clear()
+            RisppSimulator(
+                h264_library, h264_registry, HEFScheduler(), 10
+            ).run(generate_workload(num_frames=frames, seed=2008))
+            [executor] = executors
+            arrays = self._held_arrays(executor)
+            assert not any(isinstance(a, _TraceArrays) for a in arrays)
+            return sum(a.nbytes for a in arrays)
+
+        # The dispatch tables are per SI set, so what the executor keeps
+        # does not grow with the number of traces it replayed.
+        assert held_bytes(1) == held_bytes(3)

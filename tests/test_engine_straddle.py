@@ -1,15 +1,14 @@
 """Span-batching edge cases: straddled completions and mid-span events.
 
-Both trace-replay engines batch iterations into spans that end at the
-next reconfiguration-port completion, counting the iteration *in
-flight* when the completion lands at the old latencies.  The nastiest
-corners of that rule:
+The trace replay batches iterations into spans that end at the next
+reconfiguration-port completion, counting the iteration *in flight*
+when the completion lands at the old latencies.  The nastiest corners
+of that rule:
 
 * **Final-iteration straddle** — the completion lands inside the last
   iteration of the run, so it is never processed (no later
   ``advance_to`` exists).  The load must stay in flight, accounted as
-  started-but-not-completed, and both engines must agree on the exact
-  final cycle.
+  started-but-not-completed, with the exact final cycle.
 * **Mid-iteration eviction under faults** — a completion mid-span
   immediately starts the next queued load, whose placement evicts an
   LRU container *between* iteration boundaries, while fault-induced
@@ -18,84 +17,47 @@ corners of that rule:
   whole sweeps, not just one span.
 
 These are regression tests for the span/searchsorted straddle math in
-``sim/engine.py`` (``_execute``) and ``sim/vector.py`` (``execute``):
-each scenario first proves structurally that the edge actually occurs
-(pending completion inside the final span; eviction cycles strictly
-inside spans), then pins reference/vector equality on it.
+``sim/vector.py`` (``execute``): each scenario first proves structurally
+that the edge actually occurs (pending completion inside the final span;
+eviction cycles strictly inside spans), then checks the run three ways:
+against the reference per-span loop's pinned result
+(``tests/data/golden_engine_results.json``), against the independent
+per-iteration interpreter in :mod:`repro.obs.replay`, and traced
+against untraced.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.schedulers import get_scheduler
-from repro.fabric.faults import BernoulliLoadFaults, RetryPolicy
 from repro.obs import RecordingTracer
-from repro.sim.rispp import RisppSimulator
-from repro.workload.trace import HotSpotTrace, Workload
+from repro.obs.replay import replay_total_cycles
+
+from tests.engine_golden import (
+    assert_matches_golden,
+    straddle_sim,
+    straddle_workload,
+)
 
 
-def _straddle_workload(library):
-    """One huge iteration: every load completion lands inside it."""
-    si_names = tuple(library.si_names[:3])
-    counts = np.full((1, len(si_names)), 400, dtype=np.int64)
-    workload = Workload(name="straddle")
-    workload.append(
-        HotSpotTrace(
-            hot_spot="ME",
-            si_names=si_names,
-            counts=counts,
-            overhead_per_iteration=10,
-            frame_index=0,
-        )
+def _checked_runs(name):
+    """Traced and untraced run of one scenario, cross-checked."""
+    workload = straddle_workload(name)
+    tracer = RecordingTracer()
+    traced = straddle_sim(name, tracer).run(workload)
+    untraced = straddle_sim(name).run(workload)
+    assert traced == untraced
+    assert replay_total_cycles(list(tracer), workload) == (
+        traced.total_cycles
     )
-    return workload
+    assert_matches_golden(f"straddle/{name}", untraced)
+    return traced, tracer
 
 
-def _eviction_workload(library):
-    """Alternating hot spots on a tight fabric force mid-span evictions."""
-    me = tuple(library.si_names[:2])
-    ee = ("DCT", "HT4x4", "MC")
-    workload = Workload(name="evict")
-    for rep in range(3):
-        for hot_spot, si_names in (("ME", me), ("EE", ee)):
-            workload.append(
-                HotSpotTrace(
-                    hot_spot=hot_spot,
-                    si_names=si_names,
-                    counts=np.full((4, len(si_names)), 40, dtype=np.int64),
-                    overhead_per_iteration=5,
-                    frame_index=rep,
-                )
-            )
-    return workload
-
-
-def _run(library, registry, workload, engine, acs, fault_model=None,
-         retry_policy=None, tracer=None):
-    sim = RisppSimulator(
-        library,
-        registry,
-        get_scheduler("HEF"),
-        acs,
-        record_segments=True,
-        fault_model=fault_model,
-        retry_policy=retry_policy,
-        tracer=tracer,
-        engine=engine,
-    )
-    return sim, sim.run(workload)
-
-
-@pytest.mark.parametrize("engine", ["reference", "vector"])
-def test_final_iteration_straddles_completion(
-    h264_library, h264_registry, engine
-):
-    sim, result = _run(
-        h264_library, h264_registry, _straddle_workload(h264_library),
-        engine, acs=6,
-    )
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_final_iteration_straddles_completion(traced):
+    sim = straddle_sim("straddle", RecordingTracer() if traced else None)
+    result = sim.run(straddle_workload("straddle"))
     # The edge really occurred: the first load's completion cycle lies
     # strictly inside the one-and-only iteration span, and the run
     # ended before any advance_to could process it.
@@ -107,31 +69,13 @@ def test_final_iteration_straddles_completion(
     assert result.loads_completed == 0
 
 
-def test_final_straddle_identical_across_engines(
-    h264_library, h264_registry
-):
-    workload = _straddle_workload(h264_library)
-    _, ref = _run(h264_library, h264_registry, workload, "reference", 6)
-    _, vec = _run(h264_library, h264_registry, workload, "vector", 6)
-    assert ref == vec
+def test_final_straddle_identical_across_engines():
+    _checked_runs("straddle")
 
 
-def test_mid_iteration_eviction_under_faults(h264_library, h264_registry):
+def test_mid_iteration_eviction_under_faults():
     """Evictions strictly inside spans, with retries in the timeline."""
-    workload = _eviction_workload(h264_library)
-
-    def faults():
-        return (
-            BernoulliLoadFaults(0.15, seed=11),
-            RetryPolicy(max_retries=3),
-        )
-
-    tracer = RecordingTracer()
-    fault_model, retry_policy = faults()
-    _, traced = _run(
-        h264_library, h264_registry, workload, "reference", 4,
-        fault_model, retry_policy, tracer,
-    )
+    traced, tracer = _checked_runs("evict")
     spans = [(s.t0, s.t1) for s in traced.segments]
     evictions = [
         e.cycle for e in tracer if type(e).__name__ == "Eviction"
@@ -143,13 +87,3 @@ def test_mid_iteration_eviction_under_faults(h264_library, h264_registry):
     assert mid_span, "no eviction landed strictly inside a span"
     assert traced.loads_retried > 0
     assert traced.degraded_cycles > 0
-
-    results = [traced]
-    for engine in ("reference", "vector"):
-        fault_model, retry_policy = faults()
-        _, result = _run(
-            h264_library, h264_registry, workload, engine, 4,
-            fault_model, retry_policy,
-        )
-        results.append(result)
-    assert results[0] == results[1] == results[2]

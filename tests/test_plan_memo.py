@@ -4,6 +4,12 @@ The memo may only change speed: a plan served from it must equal the
 plan computed cold, stateful schedulers must bypass it, differently
 configured schedulers must never share an entry, the LRU bound must
 hold, and a stored schedule must never change after it is stored.
+
+The manager plans on the array-backed tables of
+:mod:`repro.core.scoring`; :class:`TestPaperFormalismOracle` ties every
+plan to the readable formalism it must reproduce —
+:func:`~repro.core.selection.select_molecules` followed by the
+scheduler's own :meth:`~repro.core.schedulers.base.AtomScheduler.schedule`.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiments import ExperimentScale
 from repro.core import runtime
 from repro.core.runtime import RuntimeManager
 from repro.core.schedulers import available_schedulers, get_scheduler
@@ -72,26 +79,29 @@ class TestPlatform:
 
 class TestMemoHitEqualsColdPlan:
     @pytest.mark.parametrize("name", MEMOISED)
-    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("validate", [False, True])
     # A clean fabric plans against all 10 ACs; a faulty one against its
     # effective budget of 6 (four dead containers).
     @pytest.mark.parametrize("budget", [None, 6])
-    def test_field_equal(self, name, fast, budget):
+    def test_field_equal(self, name, validate, budget):
         library = _library()
-        manager = RuntimeManager(library, get_scheduler(name), num_acs=10)
+        manager = RuntimeManager(
+            library, get_scheduler(name), num_acs=10,
+            validate_schedules=validate,
+        )
         loaded = _available(library, {"SADTREE": 1, "TRANSFORM": 1})
         for hot_spot in HOT_SPOT_ORDER:
             si_names = HOT_SPOT_SIS[hot_spot]
             first = manager.plan_hot_spot(
-                hot_spot, si_names, loaded, num_acs=budget, fast=fast
+                hot_spot, si_names, loaded, num_acs=budget
             )
             hit = manager.plan_hot_spot(
-                hot_spot, si_names, loaded, num_acs=budget, fast=fast
+                hot_spot, si_names, loaded, num_acs=budget
             )
             assert hit.schedule is first.schedule  # served by the memo
             runtime._PLAN_MEMO.clear()
             cold = manager.plan_hot_spot(
-                hot_spot, si_names, loaded, num_acs=budget, fast=fast
+                hot_spot, si_names, loaded, num_acs=budget
             )
             assert cold.schedule is not hit.schedule
             assert _fields(hit) == _fields(cold)
@@ -139,6 +149,77 @@ class TestMemoHitEqualsColdPlan:
         cold = run()
         assert len(runtime._PLAN_MEMO) > 0
         assert run() == cold  # every plan of this run is a memo hit
+
+
+class _FixedForecast:
+    """A monitor stand-in that replays one recorded forecast."""
+
+    def __init__(self, expected):
+        self.expected = expected
+
+    def predict(self, hot_spot, si_names):
+        return dict(self.expected)
+
+
+@pytest.fixture(scope="module")
+def fig7_forecasts():
+    """Every distinct planning input of a short Figure 7 HEF sweep:
+    ``(hot_spot, si_names, available, forecast)``."""
+    registry, library = h264_platform()
+    scale = ExperimentScale(frames=3)
+    workload = scale.workload()
+    seen = {}
+    plan_hot_spot = RuntimeManager.plan_hot_spot
+
+    def recording(self, hot_spot, si_names, available, num_acs=None):
+        plan = plan_hot_spot(self, hot_spot, si_names, available, num_acs)
+        expected = tuple(plan.expected.items())
+        seen[(hot_spot, tuple(si_names), available, expected)] = None
+        return plan
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RuntimeManager, "plan_hot_spot", recording)
+        for acs in scale.ac_counts[::2]:
+            RisppSimulator(
+                library, registry, get_scheduler("HEF"), acs
+            ).run(workload)
+    return list(seen)
+
+
+class TestPaperFormalismOracle:
+    @pytest.mark.parametrize("name", MEMOISED)
+    @pytest.mark.parametrize("budget", [None, 6], ids=["clean", "faulty"])
+    def test_plan_equals_selection_then_schedule(
+        self, fig7_forecasts, name, budget
+    ):
+        library = _library()
+        assert len(fig7_forecasts) > 20
+        for hot_spot, si_names, available, expected in fig7_forecasts:
+            manager = RuntimeManager(
+                library, get_scheduler(name), num_acs=10,
+                monitor=_FixedForecast(expected),
+            )
+            plan = manager.plan_hot_spot(
+                hot_spot, si_names, available, num_acs=budget
+            )
+            forecast = dict(expected)
+            sis = library.subset(si_names)
+            selection = select_molecules(
+                sis, forecast, budget or 10, available=available
+            )
+            assert plan.selection.implementations == (
+                selection.implementations
+            )
+            assert plan.selection.meta == selection.meta
+            hardware = selection.hardware_selection()
+            if not hardware:
+                assert len(plan.schedule) == 0
+                continue
+            schedule = get_scheduler(name).schedule(
+                hardware, {si.name: si for si in sis}, available, forecast
+            )
+            assert plan.schedule.atom_sequence() == schedule.atom_sequence()
+            assert plan.schedule.steps == schedule.steps
 
 
 class TestStatefulAndConfiguredSchedulers:

@@ -15,36 +15,24 @@ Two families:
   must hold on *every* workload, including the adversarial misprediction
   family built to break the predictor.  Alongside the bound we pin the
   exact accounting identities the counters promise.
+
+Every run is also checked field for field against the result the
+reference trace-replay loop produced for it, pinned in
+``tests/data/golden_engine_results.json`` (see ``tests/engine_golden.py``).
 """
 
 import pytest
 
-from repro import (
-    HEFScheduler,
-    RisppSimulator,
-    generate_workload,
-)
-from repro.core.schedulers import PrefetchScheduler
-from repro.fabric.faults import BernoulliLoadFaults, RetryPolicy
-from repro.workload import generate_adversarial_workload
+from tests.engine_golden import assert_matches_golden, prefetch_case
 
 AC_COUNTS = [4, 10]
 
 
-@pytest.fixture(scope="module")
-def platform(h264_library, h264_registry):
-    return h264_library, h264_registry
-
-
-def run(platform, scheduler, workload, num_acs, fault_rate=0.0):
-    library, registry = platform
-    kwargs = {}
-    if fault_rate:
-        kwargs["fault_model"] = BernoulliLoadFaults(fault_rate, seed=77)
-        kwargs["retry_policy"] = RetryPolicy(max_retries=2,
-                                             backoff_cycles=200)
-    sim = RisppSimulator(library, registry, scheduler, num_acs, **kwargs)
-    return sim.run(workload)
+def run(scheduler, workload, num_acs, fault_rate=0.0):
+    """One pinned run: ``scheduler`` is ``"HEF"`` or a PREFETCH_KNOBS key."""
+    case, result = prefetch_case(scheduler, workload, num_acs, fault_rate)
+    assert_matches_golden(case, result)
+    return result
 
 
 def comparable_fields(result):
@@ -58,33 +46,15 @@ def comparable_fields(result):
 @pytest.mark.parametrize("fault_rate", [0.0, 0.05],
                          ids=["clean", "faulty"])
 class TestDisabledSpeculationIsHEF:
-    def test_zero_confidence_sentinel(
-        self, platform, small_workload, num_acs, fault_rate
-    ):
-        hef = run(platform, HEFScheduler(), small_workload, num_acs,
-                  fault_rate)
-        pre = run(
-            platform,
-            PrefetchScheduler(confidence=0.0),
-            small_workload,
-            num_acs,
-            fault_rate,
-        )
+    def test_zero_confidence_sentinel(self, num_acs, fault_rate):
+        hef = run("HEF", "h264-3f", num_acs, fault_rate)
+        pre = run("conf0", "h264-3f", num_acs, fault_rate)
         assert pre.prefetch_issued == 0
         assert comparable_fields(pre) == comparable_fields(hef)
 
-    def test_zero_budget(
-        self, platform, small_workload, num_acs, fault_rate
-    ):
-        hef = run(platform, HEFScheduler(), small_workload, num_acs,
-                  fault_rate)
-        pre = run(
-            platform,
-            PrefetchScheduler(confidence=0.6, budget=0),
-            small_workload,
-            num_acs,
-            fault_rate,
-        )
+    def test_zero_budget(self, num_acs, fault_rate):
+        hef = run("HEF", "h264-3f", num_acs, fault_rate)
+        pre = run("budget0", "h264-3f", num_acs, fault_rate)
         assert pre.prefetch_issued == 0
         assert comparable_fields(pre) == comparable_fields(hef)
 
@@ -113,56 +83,29 @@ def assert_speculation_bounded(hef, pre):
 
 class TestEnabledSpeculationBound:
     @pytest.mark.parametrize("num_acs", [4, 6, 10, 16])
-    def test_h264_grid(self, platform, small_workload, num_acs):
-        hef = run(platform, HEFScheduler(), small_workload, num_acs)
-        pre = run(
-            platform,
-            PrefetchScheduler(confidence=0.3, budget=4),
-            small_workload,
-            num_acs,
-        )
+    def test_h264_grid(self, num_acs):
+        hef = run("HEF", "h264-3f", num_acs)
+        pre = run("PREFETCH", "h264-3f", num_acs)
         assert_speculation_bounded(hef, pre)
 
     @pytest.mark.parametrize("flip_rate", [0.25, 0.5])
-    def test_adversarial_mispredictions(self, platform, flip_rate):
-        workload = generate_adversarial_workload(
-            num_phases=18, seed=2008, flip_rate=flip_rate
-        )
-        hef = run(platform, HEFScheduler(), workload, 16)
-        pre = run(
-            platform,
-            PrefetchScheduler(confidence=0.3, budget=4),
-            workload,
-            16,
-        )
+    def test_adversarial_mispredictions(self, flip_rate):
+        workload = f"adv-flip{flip_rate}"
+        hef = run("HEF", workload, 16)
+        pre = run("PREFETCH", workload, 16)
         assert_speculation_bounded(hef, pre)
 
-    def test_adversarial_faulty_fabric(self, platform):
+    def test_adversarial_faulty_fabric(self):
         # Faults on speculative loads are never retried; the bound and
         # the settlement identity must survive fault injection.
-        workload = generate_adversarial_workload(
-            num_phases=12, seed=5, flip_rate=0.25
-        )
-        hef = run(platform, HEFScheduler(), workload, 16, fault_rate=0.05)
-        pre = run(
-            platform,
-            PrefetchScheduler(confidence=0.3, budget=4),
-            workload,
-            16,
-            fault_rate=0.05,
-        )
+        run("HEF", "adv-seed5", 16, fault_rate=0.05)
+        pre = run("PREFETCH", "adv-seed5", 16, fault_rate=0.05)
         assert pre.prefetch_issued == pre.prefetch_hits + pre.prefetch_wasted
 
-    def test_speculation_actually_happens_somewhere(self, platform):
+    def test_speculation_actually_happens_somewhere(self):
         # Guard against the whole family passing vacuously: at 16 ACs on
         # the periodic h264 workload the predictor locks on after one
         # frame and speculative loads must reach the bus and hit.
-        workload = generate_workload(num_frames=4, seed=11)
-        pre = run(
-            platform,
-            PrefetchScheduler(confidence=0.3, budget=4),
-            workload,
-            16,
-        )
+        pre = run("PREFETCH", "h264-4f", 16)
         assert pre.prefetch_issued > 0
         assert pre.prefetch_hits > 0

@@ -1,228 +1,69 @@
-"""Differential harness: the vector engine vs the reference engine.
+"""Differential harness: the trace replay against the pinned reference.
 
-The ``engine="vector"`` fast path (:mod:`repro.sim.vector` +
-:mod:`repro.core.scoring`) promises *bit-identical* results to the
-reference per-span loop — not approximately equal, field-for-field
-equal on every :class:`~repro.sim.results.SimulationResult`.  This
-module drives both engines over the full scheduler grid, two AC counts,
-and two fault configurations (clean and a noisy retry-heavy one), plus
-the Molen and software baselines, and compares every result field.
+The span executor (:mod:`repro.sim.vector`) and the array-backed planner
+(:mod:`repro.core.scoring`) replaced a reference per-span loop and the
+reference planner.  Before those were deleted, their results on this
+grid — every scheduler, two AC counts, a clean and a retry-heavy faulty
+fabric, the Molen baseline and the sweep cells including the software
+baseline — were committed as field-level digests
+(``tests/data/golden_engine_results.json``, see
+``tests/engine_golden.py``).  Every field must still match: not
+approximately, field for field on every
+:class:`~repro.sim.results.SimulationResult`.
 
-Any mismatch here means the vector path diverged from the reference
+Any mismatch here means the replay diverged from the reference
 semantics — a correctness bug by definition, never an acceptable
 "performance tradeoff".
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.core.schedulers import available_schedulers, get_scheduler
-from repro.exec.runner import execute_cell
-from repro.exec.spec import SweepSpec, WorkloadSpec
-from repro.fabric.faults import BernoulliLoadFaults, RetryPolicy
-from repro.h264.silibrary import build_atom_registry, build_si_library
-from repro.obs import RecordingTracer
-from repro.sim.molen import MolenSimulator
-from repro.sim.rispp import RisppSimulator
+from repro.core.schedulers import available_schedulers
 
-FRAMES = 3
+from tests.engine_golden import (
+    AC_COUNTS,
+    assert_matches_golden,
+    cell_case,
+    molen_case,
+    rispp_case,
+    sweep_cells,
+)
 
-#: (fault_rate, fault_seed, max_retries): a clean fabric and a noisy one
-#: whose retries/abandons exercise the degraded-accounting paths.
-FAULT_CONFIGS = [(0.0, 2008, 3), (0.12, 7, 2)]
-
-AC_COUNTS = (4, 10)
-
-
-@pytest.fixture(scope="module")
-def registry():
-    return build_atom_registry()
-
-
-@pytest.fixture(scope="module")
-def library(registry):
-    return build_si_library(registry)
-
-
-@pytest.fixture(scope="module")
-def workload():
-    from repro.workload.model import generate_workload
-
-    return generate_workload(num_frames=FRAMES, seed=2008)
-
-
-def _fault_args(config):
-    rate, seed, max_retries = config
-    fault_model = BernoulliLoadFaults(rate, seed=seed) if rate else None
-    retry_policy = RetryPolicy(max_retries=max_retries)
-    return fault_model, retry_policy
-
-
-def assert_results_identical(ref, vec, label):
-    """Field-by-field equality over the full SimulationResult."""
-    for field in dataclasses.fields(ref):
-        r = getattr(ref, field.name)
-        v = getattr(vec, field.name)
-        assert r == v, (
-            f"{label}: field {field.name!r} diverged between engines:\n"
-            f"  reference: {r!r}\n  vector:    {v!r}"
-        )
-
-
-def _rispp_pair(library, registry, workload, scheduler, acs, config,
-                record_segments):
-    results = []
-    for engine in ("reference", "vector"):
-        fault_model, retry_policy = _fault_args(config)
-        sim = RisppSimulator(
-            library,
-            registry,
-            get_scheduler(scheduler),
-            acs,
-            record_segments=record_segments,
-            fault_model=fault_model,
-            retry_policy=retry_policy,
-            engine=engine,
-        )
-        results.append(sim.run(workload))
-    return results
+CONFIGS = ["clean", "faulty"]
 
 
 @pytest.mark.parametrize("scheduler", available_schedulers())
 @pytest.mark.parametrize("acs", AC_COUNTS)
-@pytest.mark.parametrize(
-    "config", FAULT_CONFIGS, ids=["clean", "faulty"]
-)
-def test_rispp_grid_bit_identical(
-    library, registry, workload, scheduler, acs, config
-):
-    ref, vec = _rispp_pair(
-        library, registry, workload, scheduler, acs, config,
-        record_segments=True,
-    )
-    label = f"RISPP/{scheduler}@{acs}ACs faults={config}"
-    assert_results_identical(ref, vec, label)
+@pytest.mark.parametrize("config", CONFIGS)
+def test_rispp_grid_bit_identical(scheduler, acs, config):
+    case, result = rispp_case(scheduler, acs, config, segments=True)
     # Segments were recorded — make sure the comparison saw them.
-    assert ref.segments, label
+    assert result.segments, case
+    assert_matches_golden(case, result)
 
 
-@pytest.mark.parametrize("config", FAULT_CONFIGS, ids=["clean", "faulty"])
-def test_rispp_without_segments_bit_identical(
-    library, registry, workload, config
-):
-    """The untraced, unsegmented fast path (the common sweep shape)."""
-    ref, vec = _rispp_pair(
-        library, registry, workload, "HEF", 10, config,
-        record_segments=False,
-    )
-    assert ref.segments is None and vec.segments is None
-    assert_results_identical(ref, vec, f"RISPP/HEF@10ACs faults={config}")
+@pytest.mark.parametrize("config", CONFIGS)
+def test_rispp_without_segments_bit_identical(config):
+    """The unsegmented shape every sweep cell takes."""
+    case, result = rispp_case("HEF", 10, config, segments=False)
+    assert result.segments is None
+    assert_matches_golden(case, result)
 
 
 @pytest.mark.parametrize("acs", AC_COUNTS)
-@pytest.mark.parametrize("config", FAULT_CONFIGS, ids=["clean", "faulty"])
-def test_molen_bit_identical(library, registry, workload, acs, config):
-    results = []
-    for engine in ("reference", "vector"):
-        fault_model, retry_policy = _fault_args(config)
-        sim = MolenSimulator(
-            library,
-            registry,
-            acs,
-            record_segments=True,
-            fault_model=fault_model,
-            retry_policy=retry_policy,
-            engine=engine,
-        )
-        results.append(sim.run(workload))
-    assert_results_identical(
-        results[0], results[1], f"Molen@{acs}ACs faults={config}"
-    )
+@pytest.mark.parametrize("config", CONFIGS)
+def test_molen_bit_identical(acs, config):
+    assert_matches_golden(*molen_case(acs, config))
 
 
 def test_sweep_cells_identical_across_engines():
     """Cell-level parity including the software baseline.
 
     ``execute_cell`` is what sweeps, figure drivers, and the CLI run;
-    identical results here mean identical content-addressed cache keys,
-    so the engines share cache entries.
+    identical results here mean cache entries written by the reference
+    engine stay valid.
     """
-    spec = SweepSpec(
-        schedulers=("HEF", "SJF"),
-        ac_counts=(4, 10),
-        workload=WorkloadSpec(frames=FRAMES, seed=2008),
-        include_molen=True,
-        include_software=True,
-    )
-    for cell in spec.cells():
-        ref = execute_cell(dataclasses.replace(cell, engine="reference"))
-        vec = execute_cell(dataclasses.replace(cell, engine="vector"))
-        assert_results_identical(ref, vec, cell.label)
-
-
-def test_auto_engine_matches_both(library, registry, workload):
-    """``auto`` must agree with both explicit engines (it is one of them)."""
-    ref, vec = _rispp_pair(
-        library, registry, workload, "HEF", 10, FAULT_CONFIGS[1],
-        record_segments=True,
-    )
-    fault_model, retry_policy = _fault_args(FAULT_CONFIGS[1])
-    auto = RisppSimulator(
-        library,
-        registry,
-        get_scheduler("HEF"),
-        10,
-        record_segments=True,
-        fault_model=fault_model,
-        retry_policy=retry_policy,
-        engine="auto",
-    ).run(workload)
-    assert_results_identical(ref, auto, "auto vs reference")
-    assert_results_identical(vec, auto, "auto vs vector")
-
-
-def test_auto_falls_back_to_reference_when_traced(
-    library, registry, workload
-):
-    """A tracer forces the reference loop; results still match vector."""
-    tracer = RecordingTracer()
-    sim = RisppSimulator(
-        library,
-        registry,
-        get_scheduler("HEF"),
-        10,
-        tracer=tracer,
-        engine="auto",
-    )
-    assert sim._resolve_engine() == "reference"
-    traced = sim.run(workload)
-    assert len(tracer) > 0
-    untraced_vec = RisppSimulator(
-        library,
-        registry,
-        get_scheduler("HEF"),
-        10,
-        engine="vector",
-    ).run(workload)
-    assert_results_identical(traced, untraced_vec, "traced-auto vs vector")
-
-
-def test_vector_engine_resolution(library, registry):
-    sim = RisppSimulator(
-        library, registry, get_scheduler("HEF"), 10, engine="vector"
-    )
-    assert sim._resolve_engine() == "vector"
-    sim = RisppSimulator(
-        library, registry, get_scheduler("HEF"), 10, engine="reference"
-    )
-    assert sim._resolve_engine() == "reference"
-
-
-def test_unknown_engine_rejected(library, registry):
-    with pytest.raises(Exception):
-        RisppSimulator(
-            library, registry, get_scheduler("HEF"), 10, engine="warp"
-        )
+    for cell in sweep_cells():
+        assert_matches_golden(*cell_case(cell))

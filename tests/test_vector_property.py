@@ -1,12 +1,18 @@
-"""Property-based differential test: random workloads, identical engines.
+"""Property-based differential test: random workloads, independent replay.
 
 Hypothesis draws arbitrary workloads over the real H.264 SI library —
 random hot-spot composition, random per-iteration execution counts
 (including all-zero iterations and empty-ish traces), random iteration
-overheads, random AC budgets, schedulers, and fault schedules — and
-asserts that the reference and vector engines produce *bit-identical*
-:class:`~repro.sim.results.SimulationResult`s, and that ``auto``
-matches both.
+overheads, random AC budgets, schedulers (speculative PREFETCH
+included), and fault schedules — and checks every run against two
+oracles that share no code with the span executor:
+
+* the run's event log, walked iteration by iteration by the naive
+  interpreter in :mod:`repro.obs.replay`, must add up to exactly the
+  ``total_cycles`` the run reported;
+* the traced and the untraced run must produce *bit-identical*
+  :class:`~repro.sim.results.SimulationResult`s — observing a run never
+  changes it.
 
 Where ``tests/test_vector_differential.py`` pins a structured grid,
 this module hunts the corners no grid enumerates: single-iteration
@@ -26,6 +32,8 @@ from hypothesis import strategies as st
 from repro.core.schedulers import get_scheduler
 from repro.fabric.faults import BernoulliLoadFaults, RetryPolicy
 from repro.h264.silibrary import build_atom_registry, build_si_library
+from repro.obs import RecordingTracer
+from repro.obs.replay import replay_total_cycles
 from repro.sim.rispp import RisppSimulator
 from repro.workload.trace import HotSpotTrace, Workload
 
@@ -89,7 +97,9 @@ def random_workload(draw):
 @st.composite
 def random_setup(draw):
     workload = draw(random_workload())
-    scheduler = draw(st.sampled_from(["FSFR", "ASF", "SJF", "HEF"]))
+    scheduler = draw(
+        st.sampled_from(["FSFR", "ASF", "SJF", "HEF", "PREFETCH"])
+    )
     acs = draw(st.integers(min_value=1, max_value=14))
     fault_rate = draw(st.sampled_from([0.0, 0.05, 0.3]))
     fault_seed = draw(st.integers(min_value=0, max_value=2**16))
@@ -99,11 +109,12 @@ def random_setup(draw):
 
 
 def _run(workload, scheduler, acs, fault_rate, fault_seed, max_retries,
-         record, engine):
+         record, tracer=None):
+    kwargs = {"confidence": 0.3} if scheduler == "PREFETCH" else {}
     sim = RisppSimulator(
         LIBRARY,
         REGISTRY,
-        get_scheduler(scheduler),
+        get_scheduler(scheduler, **kwargs),
         acs,
         record_segments=record,
         fault_model=(
@@ -112,27 +123,32 @@ def _run(workload, scheduler, acs, fault_rate, fault_seed, max_retries,
             else None
         ),
         retry_policy=RetryPolicy(max_retries=max_retries),
-        engine=engine,
+        tracer=tracer,
     )
     return sim.run(workload)
+
+
+def assert_replay_agrees(workload, run):
+    """``run(tracer)`` traced and untraced: same result, and the event
+    log replays to its total."""
+    tracer = RecordingTracer()
+    traced = run(tracer)
+    untraced = run(None)
+    for field in dataclasses.fields(traced):
+        t = getattr(traced, field.name)
+        u = getattr(untraced, field.name)
+        assert t == u, (
+            f"traced/untraced diverged on {field.name!r}: {t!r} != {u!r}"
+        )
+    assert replay_total_cycles(list(tracer), workload) == (
+        traced.total_cycles
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(setup=random_setup())
 def test_random_workloads_bit_identical(setup):
-    ref = _run(*setup, engine="reference")
-    vec = _run(*setup, engine="vector")
-    auto = _run(*setup, engine="auto")
-    for field in dataclasses.fields(ref):
-        r = getattr(ref, field.name)
-        v = getattr(vec, field.name)
-        a = getattr(auto, field.name)
-        assert r == v, (
-            f"reference/vector diverged on {field.name!r}: {r!r} != {v!r}"
-        )
-        assert r == a, (
-            f"reference/auto diverged on {field.name!r}: {r!r} != {a!r}"
-        )
+    assert_replay_agrees(setup[0], lambda tracer: _run(*setup, tracer))
 
 
 @settings(max_examples=10, deadline=None)
@@ -146,13 +162,12 @@ def test_model_workloads_bit_identical(frames, seed, acs):
     from repro.workload.model import generate_workload
 
     workload = generate_workload(num_frames=frames, seed=seed)
-    results = []
-    for engine in ("reference", "vector"):
-        sim = RisppSimulator(
-            LIBRARY, REGISTRY, get_scheduler("HEF"), acs, engine=engine
-        )
-        results.append(sim.run(workload))
-    assert results[0] == results[1]
+    assert_replay_agrees(
+        workload,
+        lambda tracer: RisppSimulator(
+            LIBRARY, REGISTRY, get_scheduler("HEF"), acs, tracer=tracer
+        ).run(workload),
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover
