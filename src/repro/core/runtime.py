@@ -12,8 +12,8 @@ II.  *Observing and adapting to changing constraints* — the
      SI execution frequencies and is updated after each hot-spot run.
 III. *Determining atom re-loading decisions* — molecule selection picks
      the target implementation per SI, and the pluggable atom scheduler
-     (Section 4) orders the loads.  Both run on the array-backed tables
-     of :mod:`repro.core.scoring`, which reproduce
+     (Section 4) orders the loads.  Both run on the sparse integer
+     tables of :mod:`repro.core.scoring`, which reproduce
      :func:`~repro.core.selection.select_molecules` and
      :meth:`AtomScheduler.schedule` exactly; those two stay as the
      readable statement of the paper's formalism.

@@ -115,20 +115,31 @@ class Schedule:
     def append_step(self, impl: MoleculeImpl, new_atoms: Molecule,
                     latency_before: int) -> None:
         """Record an upgrade step that loads ``new_atoms`` (= ``a ⊖ impl``)."""
-        if new_atoms.determinant == 0:
+        self.append_counts(
+            impl,
+            [(p, c) for p, c in enumerate(new_atoms.counts) if c],
+            latency_before,
+        )
+
+    def append_counts(self, impl: MoleculeImpl,
+                      new_atoms: Sequence[Tuple[int, int]],
+                      latency_before: int) -> None:
+        """:meth:`append_step` with ``new_atoms`` given as its non-zero
+        ``(position, count)`` pairs, in position order."""
+        if not new_atoms:
             raise InvalidScheduleError(
                 f"upgrade step for {impl.si_name}/{impl.name} loads no atoms"
             )
         first = len(self._loads)
         loads = self._loads
+        names = self._space.names
         # One AtomLoad per atom *type*, reused per instance: the loads
         # are frozen value-compared records, so instances of the same
         # type within one step are interchangeable objects.
-        for atom_type, count in zip(new_atoms.space.names, new_atoms.counts):
-            if count:
-                load = AtomLoad(atom_type, si_name=impl.si_name,
-                                molecule_name=impl.name)
-                loads.extend([load] * count)
+        for position, count in new_atoms:
+            load = AtomLoad(names[position], si_name=impl.si_name,
+                            molecule_name=impl.name)
+            loads.extend([load] * count)
         self._steps.append(
             UpgradeStep(
                 impl=impl,

@@ -1,40 +1,48 @@
-"""Array-backed molecule selection and atom scheduling: the runtime planner.
+"""Molecule selection and atom scheduling at host speed: the runtime planner.
 
 The reference decision code (:func:`repro.core.selection.select_molecules`
 and the :class:`~repro.core.schedulers.base.SchedulerState` bookkeeping)
 states the paper's formalism over :class:`Molecule` lattice calls, whose
 tuple allocations and hashes would dominate a profile of any sweep.  This
-module re-expresses exactly the same computations over numpy
-struct-of-arrays views; :meth:`repro.core.runtime.RuntimeManager.plan_hot_spot`
-and the Molen baseline plan every hot spot through it, and the reference
-code stays as the readable statement and the test oracle.
+module re-expresses exactly the same computations over plain Python
+ints; :meth:`repro.core.runtime.RuntimeManager.plan_hot_spot` and the
+Molen baseline plan every hot spot through it, and the reference code
+stays as the readable statement and the test oracle.
+
+Each molecule is held *sparse*, as its non-zero ``(position, count)``
+pairs: an H.264 molecule uses 1–4 of the 17 atom types, so ``|a ⊖ m|``
+and ``a ∪ m`` touch only those positions.
 
 Bit-identity is the contract, not a goal: every operation here either
 
-* uses integer dtypes (atom counts, latencies, determinants — int64,
-  exact), or
+* is integer arithmetic (atom counts, latencies, determinants), or
 * evaluates the reference float expressions on the *same Python floats*
-  the scalar code sees (``profit = expected * latency_gain`` and
-  ``-profit / cost`` run as ordinary CPython arithmetic over values
-  pulled out of the int64 arrays), or
+  the reference code sees (``profit = expected * latency_gain`` and
+  ``-profit / cost``, operand for operand), or
 * replicates the reference comparison *order* (the sequential HEF
-  cross-multiplied scan is order-dependent in near-tie rounding, so it is
-  rerun sequentially over precomputed arrays instead of via ``argmax``).
+  cross-multiplied scan is order-dependent in near-tie rounding, so it
+  scans the candidates in the reference order).
 
 ``tests/test_plan_memo.py`` checks plans against the reference code over
-the Figure 7 forecasts, and ``tests/data/golden_engine_results.json`` pins
-whole simulation results made with the reference planner.
+the Figure 7 forecasts and over random libraries, and
+``tests/data/golden_engine_results.json`` pins whole simulation results
+made with the reference planner.
 
-The expensive part of building the array views — stacking every
-implementation's atom vector into int64 matrices — depends only on the
-SI library objects, which are immutable and, with the process-wide
-:func:`~repro.h264.silibrary.h264_platform`, shared by every simulator
-of a process.  One module-level LRU memo (:data:`_TABLES`) therefore
-builds the static tables once per distinct SI set / selection per
-process instead of once per plan.  Entries hold strong references to
-the keyed objects, so the ``id()``-based keys can never alias a
-recycled object, and the bound keeps a process that builds many
-libraries (a test run) from pinning them all.
+Two process-wide memos keep design-time work out of the run-time step:
+
+* :data:`_TABLES` holds the static tables of every SI set and selection
+  planned in this process.  They depend only on the SI library objects,
+  which are immutable and, with the process-wide
+  :func:`~repro.h264.silibrary.h264_platform`, shared by every simulator
+  of a process.  Entries hold strong references to the keyed objects, so
+  the ``id()``-based keys can never alias a recycled object.
+* :data:`_SELECTIONS` holds selections by SI set, per-SI weights and
+  budget.  The availability enters the selection only as the ``reuse``
+  tie-break, so a selection whose greedy rounds never tied exactly is the
+  same for every availability; only those are stored.
+
+Both are bounded, so a process that builds many libraries (a test run)
+does not pin them all.
 
 Float division appears here deliberately: RL005 (division-free) scopes to
 ``repro/core/schedulers/*`` and ``repro/sim/vector*`` — the schedulers'
@@ -59,16 +67,15 @@ from typing import (
     TypeVar,
 )
 
-import numpy as np
-
 from ..errors import (
     InvalidScheduleError,
     SelectionError,
     UnknownSpecialInstructionError,
 )
-from .molecule import AtomSpace, Molecule
+from .molecule import Molecule
 from .schedule import Schedule
 from .schedulers.base import AtomScheduler, SchedulerState
+from .schedulers.hef import HEFScheduler
 from .selection import MoleculeSelection
 from .si import MoleculeImpl, SpecialInstruction
 
@@ -79,10 +86,10 @@ __all__ = [
     "fast_schedule",
 ]
 
-#: Latency sentinel for infeasible rows in the best-latency refresh.
-_LAT_SENTINEL = np.iinfo(np.int64).max
-
 _V = TypeVar("_V")
+
+#: A molecule's non-zero ``(position, count)`` pairs, in position order.
+_Sparse = Tuple[Tuple[int, int], ...]
 
 
 class LruMemo(OrderedDict[Hashable, _V]):
@@ -112,6 +119,13 @@ class LruMemo(OrderedDict[Hashable, _V]):
 #: planned in this process (see the module docstring).
 _TABLES: LruMemo[Any] = LruMemo(1024)
 
+#: Tie-free selections by ``(SI set, weights, budget)`` (module docstring).
+#: Sweeps enumerate the AC count outermost, so the keys of one budget
+#: are reused by neighbouring cells.  With 256 entries the Figure 7 and
+#: traced sweeps run the greedy rounds exactly as often as with an
+#: unbounded memo, and the prefetch sweep 1,232 times instead of 1,212.
+_SELECTIONS: LruMemo[MoleculeSelection] = LruMemo(256)
+
 
 def _cached_tables(key: Hashable, build: Callable[[], _V]) -> _V:
     tables = _TABLES.lookup(key)
@@ -121,14 +135,20 @@ def _cached_tables(key: Hashable, build: Callable[[], _V]) -> _V:
     return tables
 
 
-class _SelectionTables:
-    """Static arrays for :func:`select_molecules_fast` (one SI set)."""
+def _sparse(counts: Sequence[int]) -> _Sparse:
+    return tuple((p, c) for p, c in enumerate(counts) if c)
 
-    __slots__ = (
-        "sis", "space", "impls", "rows", "lat", "lat_list", "row_si",
-        "row_si_list", "si_names", "impl_names", "software_lat",
-        "software_lat_list",
-    )
+
+def _missing(avail: Sequence[int], atoms: _Sparse) -> List[Tuple[int, int]]:
+    """``avail ⊖ atoms`` as ``(position, count)`` pairs."""
+    return [(p, c - avail[p]) for p, c in atoms if c > avail[p]]
+
+
+class _SelectionTables:
+    """Static rows for :func:`select_molecules_fast` (one SI set)."""
+
+    __slots__ = ("sis", "space", "impls", "atoms", "lat", "row_si",
+                 "software_lat")
 
     def __init__(self, sis: Tuple[SpecialInstruction, ...]) -> None:
         space = sis[0].space
@@ -138,33 +158,11 @@ class _SelectionTables:
         #: Strong reference pinning the keyed SI objects alive.
         self.sis = sis
         self.space = space
-        impls: List[MoleculeImpl] = []
-        row_si_list: List[int] = []
-        for si_idx, si in enumerate(sis):
-            for impl in si.molecules:
-                impls.append(impl)
-                row_si_list.append(si_idx)
-        self.impls = impls
-        self.rows = np.array(
-            [impl.atoms.counts for impl in impls], dtype=np.int64
-        ).reshape(len(impls), space.size)
-        self.lat = np.array([impl.latency for impl in impls], dtype=np.int64)
-        self.lat_list = [impl.latency for impl in impls]
-        self.row_si = np.array(row_si_list, dtype=np.intp)
-        self.row_si_list = row_si_list
-        self.si_names = [si.name for si in sis]
-        self.impl_names = [impl.name for impl in impls]
-        self.software_lat = np.array(
-            [si.software.latency for si in sis], dtype=np.int64
-        )
-        self.software_lat_list = [si.software.latency for si in sis]
-
-
-def _selection_tables(sis: Sequence[SpecialInstruction]) -> _SelectionTables:
-    return _cached_tables(
-        ("select", tuple(id(si) for si in sis)),
-        lambda: _SelectionTables(tuple(sis)),
-    )
+        self.impls = [impl for si in sis for impl in si.molecules]
+        self.atoms = [_sparse(impl.atoms.counts) for impl in self.impls]
+        self.lat = [impl.latency for impl in self.impls]
+        self.row_si = [s for s, si in enumerate(sis) for _ in si.molecules]
+        self.software_lat = [si.software.latency for si in sis]
 
 
 def select_molecules_fast(
@@ -173,88 +171,97 @@ def select_molecules_fast(
     num_acs: int,
     available: Optional[Molecule] = None,
 ) -> MoleculeSelection:
-    """Vectorized :func:`repro.core.selection.select_molecules`.
+    """Memoised :func:`repro.core.selection.select_molecules`.
 
     Produces the identical :class:`MoleculeSelection` — same
     implementations dict (same insertion order), same meta-molecule —
-    for every input the reference accepts.  The greedy round structure
-    is preserved: the per-candidate lattice math (meta-molecule unions,
-    determinants) is batched in int64, while the rank/tie-break cascade
-    runs over the masked candidates as ordinary Python tuples with the
-    exact reference key ``(rank, reuse, si_name, impl_name)``.
+    for every input the reference accepts.  A selection computed
+    without any exact tie is stored in :data:`_SELECTIONS` and served to
+    every later call with the same SIs, weights and budget, whatever
+    its availability; the returned object is then shared and must not
+    be mutated.
     """
     if not sis:
         raise SelectionError("cannot select molecules for an empty hot spot")
     if num_acs < 0:
         raise SelectionError(f"negative atom-container budget: {num_acs}")
-    tables = _selection_tables(sis)
-    space = tables.space
-    n = space.size
-    num_sis = len(sis)
-    impls = tables.impls
-    rows = tables.rows
+    weights = tuple(float(expected.get(si.name, 0.0)) for si in sis)
+    key = (tuple(sis), weights, num_acs)
+    selection = _SELECTIONS.lookup(key)
+    if selection is None:
+        tables = _cached_tables(
+            ("select", tuple(id(si) for si in sis)),
+            lambda: _SelectionTables(tuple(sis)),
+        )
+        selection, tied = _greedy(tables, weights, num_acs, available)
+        if not tied:
+            _SELECTIONS.store(key, selection)
+    return selection
+
+
+def _greedy(
+    tables: _SelectionTables,
+    weights: Sequence[float],
+    num_acs: int,
+    available: Optional[Molecule],
+) -> Tuple[MoleculeSelection, bool]:
+    """The reference greedy rounds; also says whether any round tied."""
+    atoms = tables.atoms
     lat = tables.lat
-    lat_list = tables.lat_list
     row_si = tables.row_si
-    row_si_list = tables.row_si_list
-    si_names = tables.si_names
-    impl_names = tables.impl_names
-
-    exec_list = [float(expected.get(name, 0.0)) for name in si_names]
-    exec_w = np.array(exec_list, dtype=np.float64)
-    exec_pos = exec_w[row_si] > 0.0
-    if available is not None:
-        reuse_counts = np.array(available.counts, dtype=np.int64)
-    else:
-        reuse_counts = np.zeros(n, dtype=np.int64)
-    # Static per candidate: |reuse_base ⊖ impl.atoms|.
-    reuse_list = (
-        np.maximum(rows - reuse_counts, 0).sum(axis=1).tolist()
-    )
-
-    selection: Dict[str, MoleculeImpl] = {si.name: si.software for si in sis}
-    current_lat = tables.software_lat.copy()
-    cl_list = list(tables.software_lat_list)
-    # Selected *hardware* atoms per SI (software rows stay zero).
-    selected = np.zeros((num_sis, n), dtype=np.int64)
+    impls = tables.impls
+    num_sis = len(tables.sis)
+    size = tables.space.size
+    current = list(tables.software_lat)
+    # Rows that may still improve their SI; SIs of weight zero never
+    # get atoms.
+    live = [j for j, s in enumerate(row_si) if weights[s] > 0.0]
+    chosen: List[_Sparse] = [()] * num_sis  # software selects no atoms
+    selection: Dict[str, MoleculeImpl] = {
+        si.name: si.software for si in tables.sis
+    }
+    dets = [0] * len(impls)
     meta_det = 0
-
+    tied = False
     while True:
-        mask = exec_pos & (lat < current_lat[row_si])
-        if not mask.any():
-            break
-        # sup of the selection with each SI excluded: running maxima from
-        # both ends (prefix below, suffix above), combined per SI.
-        up = np.zeros((num_sis, n), dtype=np.int64)
-        np.maximum.accumulate(selected[:-1], axis=0, out=up[1:])
-        down = np.maximum.accumulate(selected[::-1], axis=0)[::-1]
-        others = up
-        others[:-1] = np.maximum(up[:-1], down[1:])
-
-        new_meta = np.maximum(others[row_si], rows)
-        new_det = new_meta.sum(axis=1)
-        mask &= new_det <= num_acs
-        idx = mask.nonzero()[0]
-        if idx.size == 0:
-            break
-        idx_list = idx.tolist()
-        det_list = new_det[idx].tolist()
-        # Rank + tie-break over the masked candidates with the exact
-        # reference key ``(flag, value, reuse, si_name, impl_name)``; the
-        # masked sets are small (a handful of improving, affordable
-        # molecules), so a Python scan beats another cascade of
-        # tiny-array reductions.  The floats are ordinary Python floats —
-        # the arithmetic is the scalar code's, operand for operand.  The
-        # lexicographic compare runs in two stages: the numeric prefix
-        # decides almost every round, and the string tie-break tuple is
-        # only built for rows that tie on it exactly.
+        # sup of the selection with SI s excluded is, per atom type, the
+        # largest count of any other SI: the type's top count unless s
+        # holds it, then the runner-up.
+        top = [0] * size
+        runner_up = [0] * size
+        holder = [-1] * size
+        for t in range(num_sis):
+            for p, c in chosen[t]:
+                if c > top[p]:
+                    runner_up[p] = top[p]
+                    top[p] = c
+                    holder[p] = t
+                elif c > runner_up[p]:
+                    runner_up[p] = c
+        others_det = [meta_det] * num_sis
+        for p in range(size):
+            if holder[p] >= 0:
+                others_det[holder[p]] -= top[p] - runner_up[p]
+        # Rank with the exact reference key ``(flag, value, reuse,
+        # si_name, impl_name)``, in two stages: the numeric prefix
+        # decides almost every round, and the tie-break tuple is only
+        # built for rows that tie on it exactly.  The floats are the
+        # reference's, operand for operand.
         best_flag = 2.0
         best_val = 0.0
         ties: List[int] = []
-        for t, j in enumerate(idx_list):
-            s = row_si_list[j]
-            cost = det_list[t] - meta_det
-            profit = exec_list[s] * (cl_list[s] - lat_list[j])
+        for j in live:
+            s = row_si[j]
+            det = others_det[s]
+            for p, c in atoms[j]:
+                have = runner_up[p] if holder[p] == s else top[p]
+                if c > have:
+                    det += c - have
+            if det > num_acs:
+                continue
+            dets[j] = det
+            cost = det - meta_det
+            profit = weights[s] * (current[s] - lat[j])
             if cost <= 0:
                 flag = 0.0
                 val = -profit
@@ -267,45 +274,55 @@ def select_molecules_fast(
                 ties = [j]
             elif flag == best_flag and val == best_val:
                 ties.append(j)
-        best_row = ties[0]
+        if not ties:
+            break
+        best = ties[0]
         if len(ties) > 1:
+            tied = True
+            base = available.counts if available is not None else (0,) * size
             best_tb: Optional[Tuple[int, str, str]] = None
             for j in ties:
-                s = row_si_list[j]
-                tb = (reuse_list[j], si_names[s], impl_names[j])
+                reuse = sum(c for _, c in _missing(base, atoms[j]))
+                tb = (reuse, impls[j].si_name, impls[j].name)
                 if best_tb is None or tb < best_tb:
                     best_tb = tb
-                    best_row = j
-        winner = impls[best_row]
-        si_idx = row_si_list[best_row]
+                    best = j
+        winner = impls[best]
+        s = row_si[best]
         selection[winner.si_name] = winner
-        current_lat[si_idx] = winner.latency
-        cl_list[si_idx] = winner.latency
-        selected[si_idx] = rows[best_row]
-        meta_det = int(new_det[best_row])
+        current[s] = winner.latency
+        chosen[s] = atoms[best]
+        meta_det = dets[best]
+        live = [j for j in live if lat[j] < current[row_si[j]]]
 
-    if meta_det > num_acs:  # pragma: no cover - defensive
-        raise SelectionError(
-            f"selection uses {meta_det} atoms but only "
-            f"{num_acs} ACs are available"
-        )
-    # sup of the selected hardware molecules — equal to the winning row's
-    # ``new_meta`` of the last round (or zero when every SI stayed in
-    # software).
-    meta = Molecule._make(space, tuple(selected.max(axis=0).tolist()))
-    return MoleculeSelection(
-        implementations=dict(selection), meta=meta, num_acs=num_acs
+    meta = [0] * size
+    for row in chosen:
+        for p, c in row:
+            if c > meta[p]:
+                meta[p] = c
+    result = MoleculeSelection(
+        implementations=selection,
+        meta=Molecule._make(tables.space, tuple(meta)),
+        num_acs=num_acs,
     )
+    return result, tied
 
 
-class _ScheduleTables:
-    """Static arrays for :class:`VectorSchedulerState` (one selection)."""
+class _Ladder:
+    """Static rows for :class:`VectorSchedulerState` (one selection).
+
+    The rows are every hardware molecule of the selected SIs (the
+    best-latency refresh needs them all); ``cands`` indexes the
+    equation (3) candidates among them, in the reference's expansion
+    order (selection order, then each SI's canonical molecule order).
+    ``users[p]`` lists the ``(row, count)`` pairs of the rows that use
+    atom type ``p``: loading that type changes only those rows.
+    """
 
     __slots__ = (
-        "selection", "sis", "space", "candidates", "cand_rows", "cand_lat",
-        "cand_lat_list", "cand_si", "cand_si_list", "cand_index",
-        "cand_mask", "sel_names", "sel_pos", "impl_rows", "impl_lat",
-        "impl_offsets", "software_lat",
+        "selection", "sis", "space", "rows", "atoms", "sizes", "lat",
+        "row_si", "row_of", "users", "cands", "cands_of", "candidates",
+        "software_lat",
     )
 
     def __init__(
@@ -322,91 +339,69 @@ class _ScheduleTables:
                 )
         #: Strong references pinning the keyed objects alive.
         self.selection: Dict[str, MoleculeImpl] = dict(selection)
-        self.sis: Dict[str, SpecialInstruction] = dict(sis)
-        space: AtomSpace = next(iter(selection.values())).atoms.space
-        self.space = space
-        n = space.size
-        # Equation (3): the full candidate list M' (expand_candidates).
-        cands: List[MoleculeImpl] = []
-        cand_si_list: List[int] = []
-        impl_rows: List[Tuple[int, ...]] = []
-        impl_lat: List[int] = []
-        offsets: List[int] = [0]
-        sel_names: List[str] = list(selection)
-        for si_idx, si_name in enumerate(sel_names):
-            si = self.sis[si_name]
-            sel_atoms = selection[si_name].atoms
-            for impl in si.molecules:
-                if impl.atoms <= sel_atoms:
-                    cands.append(impl)
-                    cand_si_list.append(si_idx)
-                impl_rows.append(impl.atoms.counts)
-                impl_lat.append(impl.latency)
-            offsets.append(len(impl_rows))
-        self.candidates = cands
-        self.cand_rows = np.array(
-            [c.atoms.counts for c in cands], dtype=np.int64
-        ).reshape(len(cands), n)
-        self.cand_lat = np.array([c.latency for c in cands], dtype=np.int64)
-        self.cand_lat_list = [c.latency for c in cands]
-        self.cand_si = np.array(cand_si_list, dtype=np.intp)
-        self.cand_si_list = cand_si_list
+        self.sis: Dict[str, SpecialInstruction] = {
+            name: sis[name] for name in selection
+        }
+        self.space = next(iter(selection.values())).atoms.space
+        self.rows: List[MoleculeImpl] = []
+        self.cands: List[int] = []
+        self.cands_of: Dict[str, List[int]] = {}
+        for si_name, selected in selection.items():
+            own: List[int] = []
+            self.cands_of[si_name] = own
+            for impl in self.sis[si_name].molecules:
+                if impl.atoms <= selected.atoms:
+                    own.append(len(self.rows))
+                self.rows.append(impl)
+            self.cands.extend(own)
+        self.atoms = [_sparse(impl.atoms.counts) for impl in self.rows]
+        self.sizes = [impl.determinant for impl in self.rows]
+        self.lat = [impl.latency for impl in self.rows]
+        self.row_si = [impl.si_name for impl in self.rows]
         # Frozen-dataclass __hash__ is too slow for the hot path; the
-        # candidate objects are pinned above, so identity is a safe key.
-        self.cand_index: Dict[int, int] = {
-            id(c): j for j, c in enumerate(cands)
+        # rows are pinned above, so identity is a safe key.
+        self.row_of = {id(impl): i for i, impl in enumerate(self.rows)}
+        self.users: List[List[Tuple[int, int]]] = [
+            [] for _ in range(self.space.size)
+        ]
+        for i, row in enumerate(self.atoms):
+            for p, c in row:
+                self.users[p].append((i, c))
+        for users in self.users:  # largest counts first
+            users.sort(key=lambda user: -user[1])
+        self.candidates = [self.rows[i] for i in self.cands]
+        self.software_lat = {
+            name: si.software_latency for name, si in self.sis.items()
         }
-        self.cand_mask: Dict[str, np.ndarray] = {
-            si_name: np.array(
-                [c.si_name == si_name for c in cands], dtype=bool
-            )
-            for si_name in sel_names
-        }
-        self.sel_names = sel_names
-        self.sel_pos = {name: i for i, name in enumerate(sel_names)}
-        # Stacked implementation table for the best-latency refresh (one
-        # feasibility reduction instead of per-SI lattice calls).
-        self.impl_rows = np.array(impl_rows, dtype=np.int64).reshape(
-            len(impl_rows), n
-        )
-        self.impl_lat = np.array(impl_lat, dtype=np.int64)
-        self.impl_offsets = np.array(offsets[:-1], dtype=np.intp)
-        self.software_lat = np.array(
-            [self.sis[name].software_latency for name in sel_names],
-            dtype=np.int64,
-        )
 
 
-def _schedule_tables(
+def _cached_ladder(
     selection: Mapping[str, MoleculeImpl],
     sis: Mapping[str, SpecialInstruction],
-) -> _ScheduleTables:
-    key = (
-        "schedule",
-        tuple((name, id(impl)) for name, impl in selection.items()),
-        tuple(sorted((name, id(si)) for name, si in sis.items())),
+) -> _Ladder:
+    key = tuple(
+        (name, id(impl), id(sis.get(name))) for name, impl in selection.items()
     )
-    return _cached_tables(key, lambda: _ScheduleTables(selection, sis))
+    return _cached_tables(key, lambda: _Ladder(selection, sis))
 
 
 class VectorSchedulerState(SchedulerState):
-    """A :class:`SchedulerState` whose hot queries run on cached arrays.
+    """A :class:`SchedulerState` kept on sparse integer atom vectors.
 
     The public surface (``available``, ``best_latency``, ``commit``,
     ``cleaned_candidates`` ...) keeps the reference semantics, so the
     unmodified scheduler strategies (``FSFR``/``ASF``/``SJF``/beam
-    search/random) run on it verbatim; only the per-candidate lattice
-    math is replaced by int64 array operations.  ``finalize`` is
-    inherited untouched — it reads the synced ``available`` molecule.
+    search/random) run on it verbatim.  The state holds the virtual
+    availability as a list of counts and, per row of the static
+    :class:`_Ladder`, the number of atoms it still misses.  A commit
+    loads a few atom types and updates only the rows that use them;
+    a row whose count reaches zero has become available, which is when
+    it can lower its SI's ``best_latency``.
 
-    ``available`` and ``best_latency`` are materialized lazily from the
-    arrays: the fast commit path only invalidates them, and the dict /
-    molecule views are rebuilt when a strategy (or ``finalize``) actually
-    reads them.  The parent ``__init__`` is deliberately not called: its
-    validation and array building are replayed (or cache-hit) by the
-    static :class:`_ScheduleTables`, and ``best_latency`` is seeded by
-    the vectorized equivalent of
-    :func:`~repro.core.candidates.best_latency_map`.
+    The parent ``__init__`` is deliberately not called: its validation
+    and candidate expansion are replayed (or cache-hit) by the static
+    :class:`_Ladder`.  The ``selection``, ``sis`` and ``candidates``
+    views are the ladder's own and must not be mutated.
     """
 
     def __init__(
@@ -416,107 +411,65 @@ class VectorSchedulerState(SchedulerState):
         available: Molecule,
         expected: Mapping[str, float],
     ) -> None:
-        tables = self._tables = _schedule_tables(selection, sis)
-        self.selection = dict(selection)
-        self.sis = dict(sis)
+        ladder = self._ladder = _cached_ladder(selection, sis)
+        self.selection = ladder.selection
+        self.sis = ladder.sis
         self.space = available.space
-        self._avail_mol: Optional[Molecule] = available
         self.expected = {
             si_name: float(expected.get(si_name, 0.0))
             for si_name in selection
         }
-        self.candidates = list(tables.candidates)
+        self.candidates = ladder.candidates
         self.schedule = Schedule(self.space)
-        self._avail_arr = np.array(available.counts, dtype=np.int64)
-        self._cand_rows = tables.cand_rows
-        self._cand_lat = tables.cand_lat
-        self._cand_index = tables.cand_index
-        self._sel_names = tables.sel_names
-        self._cand_si = tables.cand_si
-        self._impl_rows = tables.impl_rows
-        self._impl_lat = tables.impl_lat
-        self._impl_offsets = tables.impl_offsets
-        self._software_lat = tables.software_lat
+        self.available = available
+        self._avail = list(available.counts)
         # Figure 6 lines 6-9 (best_latency_map): the fastest latency
-        # feasible under ``available``, software included.
-        feasible = (tables.impl_rows <= self._avail_arr).all(axis=1)
-        lat = np.where(feasible, tables.impl_lat, _LAT_SENTINEL)
-        seg_min = np.minimum.reduceat(lat, tables.impl_offsets)
-        self._blat = np.minimum(tables.software_lat, seg_min)
-        self._bl_dict: Optional[Dict[str, int]] = None
-        self._addl = np.empty(len(tables.candidates), dtype=np.int64)
-        self._diff = np.empty_like(tables.cand_rows)
-        # Last cleaned_candidates result with its candidate indices: the
+        # available under ``available``, software included.
+        short = self._short = list(ladder.sizes)
+        users = ladder.users
+        for p, have in enumerate(self._avail):
+            if have:
+                for i, c in users[p]:
+                    short[i] -= c if c < have else have
+        best = self.best_latency = dict(ladder.software_lat)
+        lat = ladder.lat
+        for i, si_name in enumerate(ladder.row_si):
+            if not short[i] and lat[i] < best[si_name]:
+                best[si_name] = lat[i]
+        # Last cleaned_candidates result with its row indices: the
         # strategies feed that exact list object straight back into
-        # smallest_step, which can then skip the id()->index mapping.
-        # The mapping never goes stale — candidate object <-> index is
-        # static for the state's lifetime.
+        # smallest_step, which can then skip the id()->row mapping.
         self._last_clean: Optional[Tuple[List[MoleculeImpl], List[int]]] = None
-        self._refresh_additional()
 
-    # -- lazy views over the arrays ----------------------------------------
-
-    @property
-    def available(self) -> Molecule:
-        mol = self._avail_mol
-        if mol is None:
-            mol = Molecule._make(self.space, tuple(self._avail_arr.tolist()))
-            self._avail_mol = mol
-        return mol
-
-    @available.setter
-    def available(self, mol: Molecule) -> None:
-        # Reference-path assignments (super().commit, finalize) land
-        # here; the arrays are resynced by the callers that need them.
-        self._avail_mol = mol
-
-    @property
-    def best_latency(self) -> Dict[str, int]:
-        mapping = self._bl_dict
-        if mapping is None:
-            mapping = dict(zip(self._sel_names, self._blat.tolist()))
-            self._bl_dict = mapping
-        return mapping
-
-    @best_latency.setter
-    def best_latency(self, mapping: Dict[str, int]) -> None:
-        self._bl_dict = mapping
-
-    # -- internal sync -----------------------------------------------------
-
-    def _refresh_additional(self) -> None:
-        np.subtract(self._cand_rows, self._avail_arr, out=self._diff)
-        np.maximum(self._diff, 0, out=self._diff)
-        self._diff.sum(axis=1, out=self._addl)
-
-    def _resync_from_reference(self) -> None:
-        """Rebuild the arrays from the dict/molecule ground truth."""
-        self._avail_arr = np.array(self.available.counts, dtype=np.int64)
-        self._blat = np.array(
-            [self.best_latency[name] for name in self._sel_names],
-            dtype=np.int64,
-        )
-        self._refresh_additional()
+    def _atoms_of(self, impl: MoleculeImpl) -> _Sparse:
+        i = self._ladder.row_of.get(id(impl))
+        if i is None:
+            return _sparse(impl.atoms.counts)
+        return self._ladder.atoms[i]
 
     # -- queries -----------------------------------------------------------
 
     def cleaned_candidates(
         self, si_name: Optional[str] = None
     ) -> List[MoleculeImpl]:
-        mask = (self._addl > 0) & (self._cand_lat < self._blat[self._cand_si])
-        if si_name is not None:
-            mask &= self._tables.cand_mask[si_name]
-        cands = self.candidates
-        js = mask.nonzero()[0].tolist()
-        result = [cands[j] for j in js]
-        self._last_clean = (result, js)
+        ladder = self._ladder
+        pool = ladder.cands if si_name is None else ladder.cands_of.get(
+            si_name, []
+        )
+        short = self._short
+        lat = ladder.lat
+        row_si = ladder.row_si
+        best = self.best_latency
+        rows = [i for i in pool if short[i] and lat[i] < best[row_si[i]]]
+        result = [ladder.rows[i] for i in rows]
+        self._last_clean = (result, rows)
         return result
 
     def additional_atoms(self, impl: MoleculeImpl) -> int:
-        j = self._cand_index.get(id(impl))
-        if j is None:
-            return super().additional_atoms(impl)
-        return int(self._addl[j])
+        i = self._ladder.row_of.get(id(impl))
+        if i is not None:
+            return self._short[i]
+        return sum(c for _, c in _missing(self._avail, self._atoms_of(impl)))
 
     def smallest_step(
         self, candidates: List[MoleculeImpl]
@@ -525,130 +478,143 @@ class VectorSchedulerState(SchedulerState):
             return None
         last = self._last_clean
         if last is not None and candidates is last[0]:
-            js = last[1]
+            rows = last[1]
         else:
-            index = self._cand_index
-            js = []
+            row_of = self._ladder.row_of
+            rows = []
             for c in candidates:
-                j = index.get(id(c))
-                if j is None:
+                i = row_of.get(id(c))
+                if i is None:
                     return super().smallest_step(candidates)
-                js.append(j)
-        addl = self._addl[js].tolist()
-        blat = self._blat.tolist()
-        tables = self._tables
-        cand_si = tables.cand_si_list
-        cand_lat = tables.cand_lat_list
+                rows.append(i)
+        short = self._short
+        lat = self._ladder.lat
+        row_si = self._ladder.row_si
+        best_lat = self.best_latency
         # Reference key: (additional, -improvement, si_name, name);
         # -improvement == latency - best_latency[si].  Two-stage compare:
         # the int prefix decides nearly always, the (si_name, name)
         # strings only break exact numeric ties.
-        best_addl = -1
+        best_short = -1
         best_dlat = 0
         ties: List[int] = []
-        for t, j in enumerate(js):
-            a = addl[t]
-            d = cand_lat[j] - blat[cand_si[j]]
-            if best_addl < 0 or a < best_addl or (
-                a == best_addl and d < best_dlat
+        for t, i in enumerate(rows):
+            a = short[i]
+            d = lat[i] - best_lat[row_si[i]]
+            if best_short < 0 or a < best_short or (
+                a == best_short and d < best_dlat
             ):
-                best_addl = a
+                best_short = a
                 best_dlat = d
                 ties = [t]
-            elif a == best_addl and d == best_dlat:
+            elif a == best_short and d == best_dlat:
                 ties.append(t)
         best = candidates[ties[0]]
-        if len(ties) > 1:
-            for t in ties[1:]:
-                c = candidates[t]
-                if (c.si_name, c.name) < (best.si_name, best.name):
-                    best = c
+        for t in ties[1:]:
+            c = candidates[t]
+            if (c.si_name, c.name) < (best.si_name, best.name):
+                best = c
         return best
 
     # -- mutation ----------------------------------------------------------
 
     def commit(self, impl: MoleculeImpl) -> None:
-        j = self._cand_index.get(id(impl))
-        if j is None:
-            # Unknown implementation (e.g. a selected molecule committed
-            # directly by upgrade_si_fully's fallback): run the reference
-            # path and resync the arrays from the ground truth.
-            super().commit(impl)
-            self._resync_from_reference()
-            return
-        avail = self._avail_arr
-        row = self._cand_rows[j]
-        new_list = np.maximum(row - avail, 0).tolist()
-        new_atoms = Molecule._make(self.space, tuple(new_list))
-        latency_before = int(self._blat[self._tables.sel_pos[impl.si_name]])
-        self.schedule.append_step(
-            impl, new_atoms, latency_before=latency_before
-        )
-        if not any(new_list):
-            # Nothing new to load: the availability is unchanged, and
-            # impl being feasible under it means best_latency already
-            # accounts for impl.latency — all views stay valid.
-            return
-        np.maximum(avail, row, out=avail)
-        self._avail_mol = None
-        # Reference refresh: best_latency[si] becomes the fastest latency
-        # available under the new virtual availability (which covers the
-        # just-committed impl by construction), floored at the old value.
-        # Software latencies are already folded into the initial _blat.
-        feasible = (self._impl_rows <= avail).all(axis=1)
-        lat = np.where(feasible, self._impl_lat, _LAT_SENTINEL)
-        seg_min = np.minimum.reduceat(lat, self._impl_offsets)
-        np.minimum(self._blat, seg_min, out=self._blat)
-        self._bl_dict = None
-        self._refresh_additional()
+        best = self.best_latency
+        si_name = impl.si_name
+        new = _missing(self._avail, self._atoms_of(impl))
+        self.schedule.append_counts(impl, new, latency_before=best[si_name])
+        if impl.latency < best[si_name]:
+            best[si_name] = impl.latency
+        # Equation (4) measures improvements against the fastest molecule
+        # available under ``a``: a row that has just become available can
+        # lower its SI's best latency, whichever SI it belongs to.
+        ladder = self._ladder
+        users = ladder.users
+        lat = ladder.lat
+        row_si = ladder.row_si
+        avail = self._avail
+        short = self._short
+        for p, added in new:
+            before = avail[p]
+            after = avail[p] = before + added
+            for i, c in users[p]:
+                if c <= before:
+                    break  # this and every later row had enough of p
+                left = short[i] = (
+                    short[i] - (c if c < after else after) + before
+                )
+                if not left and lat[i] < best[row_si[i]]:
+                    best[row_si[i]] = lat[i]
+        self.available = Molecule._make(self.space, tuple(avail))
+
+    def finalize(self) -> Schedule:
+        """The reference :meth:`SchedulerState.finalize`, on counts.
+
+        Like the reference, each completing step updates only its own
+        SI's best latency; the ladder is not updated, so the state is
+        finished afterwards.  The reference's closing
+        ``sup(M)`` check cannot fire: every selected molecule is
+        available after the loop.
+        """
+        avail = self._avail
+        best = self.best_latency
+        for si_name in sorted(self.selection):
+            selected = self.selection[si_name]
+            new = _missing(avail, self._atoms_of(selected))
+            if new:
+                self.schedule.append_counts(
+                    selected, new, latency_before=best[si_name]
+                )
+                for p, added in new:
+                    avail[p] += added
+                if selected.latency < best[si_name]:
+                    best[si_name] = selected.latency
+        self.available = Molecule._make(self.space, tuple(avail))
+        return self.schedule
 
 
 def _run_hef_fast(state: VectorSchedulerState) -> None:
-    """HEF's ``_run`` replayed over the state's cached arrays.
+    """HEF's ``_run`` over the state's rows.
 
     The sequential cross-multiplied compare (``num * best_den >
     best_num * den``) is order-dependent under float rounding near ties,
-    so the scan itself stays a sequential loop — the mask is batched,
-    while the ``num``/``den`` terms come out of the arrays as the same
-    Python floats the reference computes.  Division-free, like the
-    reference (RL005).
+    so the scan visits the cleaned candidates in the reference order,
+    and the ``num``/``den`` terms are the same Python floats the
+    reference computes.  Division-free, like the reference (RL005).
     """
-    tables = state._tables
-    exec_list = [state.expected[name] for name in tables.sel_names]
-    cands = state.candidates
-    cand_si_list = tables.cand_si_list
-    cand_lat_list = tables.cand_lat_list
-    cand_si = state._cand_si
-    cand_lat = state._cand_lat
+    ladder = state._ladder
+    weight = state.expected
+    best_lat = state.best_latency
+    short = state._short
+    lat = ladder.lat
+    row_si = ladder.row_si
+    rows = ladder.rows
     while True:
-        blat = state._blat
-        mask = (state._addl > 0) & (cand_lat < blat[cand_si])
-        idx = mask.nonzero()[0]
-        if idx.size == 0:
-            return
-        idx_list = idx.tolist()
-        addl_list = state._addl[idx].tolist()
-        blat_list = blat.tolist()
-        best_j = -1
+        best = -1
         best_num = 0.0
         best_den = 1.0
-        for t, j in enumerate(idx_list):
-            s = cand_si_list[j]
-            num = exec_list[s] * (blat_list[s] - cand_lat_list[j])
-            den = float(addl_list[t])
-            if best_j < 0 or num * best_den > best_num * den:
-                best_j = j
+        live: List[int] = []
+        for i in ladder.cands:
+            den = short[i]
+            s = row_si[i]
+            gain = best_lat[s] - lat[i]
+            if not den or gain <= 0:
+                continue
+            live.append(i)
+            num = weight[s] * gain
+            if best < 0 or num * best_den > best_num * den:
+                best = i
                 best_num = num
-                best_den = den
+                best_den = float(den)
+        if best < 0:
+            return
+        step: Optional[MoleculeImpl] = rows[best]
         if best_num <= 0.0:
-            candidates = [cands[j] for j in idx_list]
-            state._last_clean = (candidates, idx_list)
-            fallback = AtomScheduler.smallest_step(state, candidates)
-            if fallback is None:
-                return
-            state.commit(fallback)
-        else:
-            state.commit(cands[best_j])
+            # Every benefit is zero: the reference's smallest-step
+            # fallback (``live`` is non-empty, so there is one).
+            step = state.smallest_step([rows[i] for i in live])
+        assert step is not None
+        state.commit(step)
 
 
 def fast_schedule(
@@ -660,14 +626,13 @@ def fast_schedule(
 ) -> Schedule:
     """Run ``scheduler`` over a :class:`VectorSchedulerState`.
 
-    HEF — whose global candidate scan dominates sweep profiles — is
+    Every scheduler that runs HEF's own ``_run`` (HEF and PREFETCH) is
     routed to :func:`_run_hef_fast`; every other strategy executes its
-    own unmodified ``_run`` against the accelerated state.  Either way
-    the resulting :class:`Schedule` is identical to
-    ``scheduler.schedule(...)``.
+    own unmodified ``_run`` against the state.  Either way the resulting
+    :class:`Schedule` is identical to ``scheduler.schedule(...)``.
     """
     state = VectorSchedulerState(selection, sis, available, expected)
-    if scheduler.name == "HEF":
+    if type(scheduler)._run is HEFScheduler._run:
         _run_hef_fast(state)
     else:
         scheduler._run(state)

@@ -15,13 +15,14 @@ else (no object ids, no insertion order, no hash randomization).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..workload.trace import Workload
+    from ..workload.trace import HotSpotTrace, Workload
 
 __all__ = ["WorkloadSpec", "SweepCell", "SweepSpec"]
 
@@ -76,32 +77,16 @@ class WorkloadSpec:
             object.__setattr__(self, "hot_spots", tuple(self.hot_spots))
 
     def build(self) -> "Workload":
-        """Generate (and filter) the workload this spec describes."""
-        from ..workload.adversarial import AdversarialWorkloadModel
-        from ..workload.model import H264WorkloadModel
+        """Generate (and filter) the workload this spec describes.
+
+        Every call returns a fresh :class:`Workload`, but equal specs
+        share their traces (:func:`_generate` keeps the last few);
+        trace ``counts`` are read-only, so no run can change another's.
+        """
         from ..workload.trace import Workload
 
-        if self.generator == "adversarial":
-            workload = AdversarialWorkloadModel(
-                num_phases=self.frames * 3,
-                seed=self.seed,
-                flip_rate=self.flip_rate,
-            ).generate()
-        else:
-            workload = H264WorkloadModel(
-                num_frames=self.frames, seed=self.seed
-            ).generate(hot_spots=self.hot_spots)
-        if self.hot_spots is None and self.max_traces is None:
-            return workload
-        traces = list(workload.traces)
-        name = workload.name
-        if self.hot_spots is not None:
-            keep = set(self.hot_spots)
-            traces = [t for t in traces if t.hot_spot in keep]
-            name += "-" + "+".join(self.hot_spots)
-        if self.max_traces is not None:
-            traces = traces[: self.max_traces]
-        return Workload(name=name, traces=traces)
+        name, traces = _generate(self)
+        return Workload(name=name, traces=list(traces))
 
     def to_config(self) -> Dict[str, Any]:
         config: Dict[str, Any] = {
@@ -120,6 +105,34 @@ class WorkloadSpec:
             config["generator"] = self.generator
             config["flip_rate"] = float(self.flip_rate)
         return config
+
+
+@functools.lru_cache(maxsize=4)
+def _generate(spec: WorkloadSpec) -> Tuple[str, Tuple["HotSpotTrace", ...]]:
+    """The name and traces of ``spec``'s workload, kept for the last few
+    specs: a sweep builds the same workload once per cell."""
+    from ..workload.adversarial import AdversarialWorkloadModel
+    from ..workload.model import H264WorkloadModel
+
+    if spec.generator == "adversarial":
+        workload = AdversarialWorkloadModel(
+            num_phases=spec.frames * 3,
+            seed=spec.seed,
+            flip_rate=spec.flip_rate,
+        ).generate()
+    else:
+        workload = H264WorkloadModel(
+            num_frames=spec.frames, seed=spec.seed
+        ).generate(hot_spots=spec.hot_spots)
+    traces = list(workload.traces)
+    name = workload.name
+    if spec.hot_spots is not None:
+        keep = set(spec.hot_spots)
+        traces = [t for t in traces if t.hot_spot in keep]
+        name += "-" + "+".join(spec.hot_spots)
+    if spec.max_traces is not None:
+        traces = traces[: spec.max_traces]
+    return name, tuple(traces)
 
 
 @dataclass(frozen=True)

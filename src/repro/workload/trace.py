@@ -37,7 +37,8 @@ class HotSpotTrace:
         The SIs this hot spot executes; column order of ``counts``.
     counts:
         Integer array of shape ``(iterations, len(si_names))``: SI
-        executions per inner-loop iteration (macroblock).
+        executions per inner-loop iteration (macroblock).  Read-only:
+        workloads built from equal specs share their traces.
     overhead_per_iteration:
         Non-SI base-processor cycles per iteration (loop control, address
         arithmetic, memory accesses outside SIs).
@@ -68,6 +69,9 @@ class HotSpotTrace:
             raise TraceError(f"duplicate SI names in {self.si_names!r}")
         if (self.counts < 0).any():
             raise TraceError("negative SI execution counts in trace")
+        # A view, so the caller's own array stays writeable.
+        self.counts = self.counts.view()
+        self.counts.flags.writeable = False
         if self.overhead_per_iteration < 0:
             raise TraceError(
                 f"negative per-iteration overhead: {self.overhead_per_iteration}"

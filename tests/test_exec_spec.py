@@ -26,6 +26,19 @@ class TestWorkloadSpec:
         assert len(a) == len(b)
         assert a.totals() == b.totals()
 
+    def test_equal_specs_share_traces_in_fresh_workloads(self):
+        a = small_workload_spec().build()
+        b = small_workload_spec().build()
+        assert a is not b and a.traces is not b.traces
+        assert all(x is y for x, y in zip(a.traces, b.traces))
+        a.traces.pop()  # a workload's own list: b keeps all its traces
+        assert len(b) == len(a) + 1
+
+    def test_shared_counts_are_read_only(self):
+        trace = small_workload_spec().build().traces[0]
+        with pytest.raises(ValueError):
+            trace.counts[0, 0] += 1
+
     def test_hot_spot_filter(self):
         workload = small_workload_spec(hot_spots=("ME",)).build()
         assert workload.hot_spots == ("ME",)

@@ -18,6 +18,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.lint import (
     RULE_DEFAULTS,
     ImportEdge,
@@ -182,12 +184,26 @@ class TestDeadcodeFixture:
         assert "'dead_helper'" in messages  # unreferenced public def
 
 
+WHOLE_PROGRAM_RULES = ("RL008", "RL009", "RL010", "RL011")
+
+
+@pytest.fixture(scope="module")
+def real_tree_findings():
+    """One whole-program analysis of the real source tree, shared by the
+    per-rule tests below (each run builds the whole program)."""
+    config = LintConfig.load(REPO_ROOT / "pyproject.toml")
+    return run_analysis(REPO_SRC, config, select=set(WHOLE_PROGRAM_RULES))
+
+
 class TestRealTreeIsClean:
-    """The PR's contract: violations were fixed by refactor."""
+    """The contract: violations were fixed by refactor."""
+
+    @pytest.fixture(autouse=True)
+    def _findings(self, real_tree_findings):
+        self.findings = real_tree_findings
 
     def _run(self, rule_id):
-        config = LintConfig.load(REPO_ROOT / "pyproject.toml")
-        return run_analysis(REPO_SRC, config, select={rule_id})
+        return [f for f in self.findings if f.rule_id == rule_id]
 
     def test_rl008_layering_clean(self):
         assert self._run("RL008") == []

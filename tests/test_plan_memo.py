@@ -5,11 +5,15 @@ plan computed cold, stateful schedulers must bypass it, differently
 configured schedulers must never share an entry, the LRU bound must
 hold, and a stored schedule must never change after it is stored.
 
-The manager plans on the array-backed tables of
-:mod:`repro.core.scoring`; :class:`TestPaperFormalismOracle` ties every
-plan to the readable formalism it must reproduce —
+The manager plans on the sparse tables of :mod:`repro.core.scoring`;
+:class:`TestPaperFormalismOracle` ties every plan to the readable
+formalism it must reproduce —
 :func:`~repro.core.selection.select_molecules` followed by the
-scheduler's own :meth:`~repro.core.schedulers.base.AtomScheduler.schedule`.
+scheduler's own :meth:`~repro.core.schedulers.base.AtomScheduler.schedule`
+— over the Figure 7 forecasts, and :class:`TestRandomLibraryOracle` does
+the same over random libraries.  The selection memo may serve a
+selection to a call with another availability only when no greedy round
+tied: :class:`TestSelectionMemo` checks both sides of that rule.
 """
 
 from __future__ import annotations
@@ -18,19 +22,24 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentScale
-from repro.core import runtime
+from repro.core import runtime, scoring
+from repro.core.molecule import AtomSpace
 from repro.core.runtime import RuntimeManager
 from repro.core.schedulers import available_schedulers, get_scheduler
 from repro.core.schedulers.lookahead import LookaheadScheduler
 from repro.core.schedulers.prefetch import PrefetchScheduler
 from repro.core.schedulers.random_sched import RandomScheduler
-from repro.core.scoring import LruMemo
+from repro.core.scoring import LruMemo, fast_schedule, select_molecules_fast
 from repro.core.selection import select_molecules
+from repro.core.si import MoleculeImpl, SpecialInstruction
 from repro.h264.silibrary import HOT_SPOT_ORDER, HOT_SPOT_SIS, h264_platform
 from repro.sim.rispp import RisppSimulator
 from repro.workload.model import generate_workload
+from tests.test_scheduler_properties import SPACE, random_si
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -337,7 +346,212 @@ class TestStoredScheduleIsFrozen:
             for node in ast.walk(ast.parse(path.read_text())):
                 if (
                     isinstance(node, ast.Attribute)
-                    and node.attr in ("append_step", "append_completion")
+                    and node.attr
+                    in ("append_step", "append_counts", "append_completion")
                 ):
                     callers.append(f"{path.name}:{node.lineno}")
         assert callers == []
+
+
+def _same_selection(fast, reference):
+    assert list(fast.implementations.items()) == list(
+        reference.implementations.items()
+    )
+    assert fast.meta == reference.meta
+    assert fast.num_acs == reference.num_acs
+
+
+def _tied_library():
+    """Two SIs whose only molecules tie exactly on ``(flag, value)``:
+    same weight, same latency gain, one atom each of a different type.
+    Only the ``reuse`` tie-break (atoms already loaded) tells them
+    apart, and a budget of one AC takes just one of them."""
+    space = AtomSpace(["A", "B"])
+    sis = [
+        SpecialInstruction(
+            name, space, 100,
+            [MoleculeImpl(name, "hw", space.molecule({atom: 1}), 50)],
+        )
+        for name, atom in (("X", "A"), ("Y", "B"))
+    ]
+    return space, sis
+
+
+@st.composite
+def tie_prone_sis(draw):
+    """Two or three SIs built from one molecule template, each over its
+    own rotation of the atom types: molecules of different SIs then
+    often tie exactly on profit/cost, and the availability decides."""
+    vectors = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 2)] * SPACE.size).filter(any),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    latencies = sorted(
+        draw(st.lists(st.sampled_from([20, 40, 60, 80]),
+                      min_size=len(vectors), max_size=len(vectors))),
+        reverse=True,
+    )
+    sis = []
+    for i in range(draw(st.integers(2, 3))):
+        shift = draw(st.integers(0, SPACE.size - 1))
+        name = f"SI{i}"
+        sis.append(SpecialInstruction(name, SPACE, 100, [
+            MoleculeImpl(
+                name, f"m{k}",
+                SPACE.molecule(vector[shift:] + vector[:shift]), latency,
+            )
+            for k, (vector, latency) in enumerate(zip(vectors, latencies))
+        ]))
+    return sis
+
+
+class TestSelectionMemo:
+    @pytest.fixture(autouse=True)
+    def _cold_selections(self):
+        scoring._SELECTIONS.clear()
+        yield
+        scoring._SELECTIONS.clear()
+
+    def test_a_tie_is_decided_by_each_calls_availability(self):
+        space, sis = _tied_library()
+        forecast = {"X": 1.0, "Y": 1.0}
+        results = []
+        for loaded in ({"A": 1}, {"B": 1}):
+            available = space.molecule(loaded)
+            fast = select_molecules_fast(sis, forecast, 1, available=available)
+            _same_selection(
+                fast, select_molecules(sis, forecast, 1, available=available)
+            )
+            results.append(fast)
+        first, second = results
+        assert first.implementations["X"].name == "hw"
+        assert second.implementations["Y"].name == "hw"
+        assert first.meta != second.meta  # the memo did not serve it
+        assert len(scoring._SELECTIONS) == 0
+
+    def test_a_tie_free_selection_is_shared_across_availabilities(self):
+        space, sis = _tied_library()
+        forecast = {"X": 2.0, "Y": 1.0}  # X's gain is larger: no tie
+        first = select_molecules_fast(
+            sis, forecast, 1, available=space.molecule({"B": 1})
+        )
+        second = select_molecules_fast(
+            sis, forecast, 1, available=space.molecule({"A": 1})
+        )
+        assert second is first
+        assert len(scoring._SELECTIONS) == 1
+        _same_selection(
+            second,
+            select_molecules(
+                sis, forecast, 1, available=space.molecule({"A": 1})
+            ),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_warm_memo_serves_the_reference(self, data):
+        if data.draw(st.booleans()):
+            sis = [
+                data.draw(random_si(f"SI{i}"))
+                for i in range(data.draw(st.integers(1, 3)))
+            ]
+            forecast = {
+                si.name: float(data.draw(st.integers(0, 3))) for si in sis
+            }
+        else:
+            # Equal weights over one template: exact ties are the rule.
+            sis = data.draw(tie_prone_sis())
+            weight = float(data.draw(st.integers(1, 3)))
+            forecast = {si.name: weight for si in sis}
+        budget = data.draw(st.integers(0, 12))
+        availabilities = [
+            SPACE.molecule(
+                tuple(data.draw(st.integers(0, 3)) for _ in range(SPACE.size))
+            )
+            for _ in range(2)
+        ]
+        for available in availabilities + availabilities[::-1]:
+            _same_selection(
+                select_molecules_fast(sis, forecast, budget, available),
+                select_molecules(sis, forecast, budget, available),
+            )
+
+
+@st.composite
+def scheduling_inputs(draw):
+    """Random SIs, any hardware selection, a forecast and an ``a_0``
+    that may already hold part (or more) of the selection."""
+    sis = {}
+    selection = {}
+    forecast = {}
+    for i in range(draw(st.integers(1, 3))):
+        si = draw(random_si(f"SI{i}"))
+        sis[si.name] = si
+        selection[si.name] = draw(st.sampled_from(si.molecules))
+        forecast[si.name] = float(draw(st.integers(0, 3)))
+    held = [
+        max(impl.atoms.counts[p] for impl in selection.values())
+        for p in range(SPACE.size)
+    ]
+    available = SPACE.molecule(
+        tuple(draw(st.integers(0, held[p] + 1)) for p in range(SPACE.size))
+    )
+    return selection, sis, available, forecast
+
+
+def _same_schedule(name, selection, sis, available, forecast):
+    fast = fast_schedule(
+        get_scheduler(name), selection, sis, available, forecast
+    )
+    reference = get_scheduler(name).schedule(
+        selection, sis, available, forecast
+    )
+    assert fast.atom_sequence() == reference.atom_sequence()
+    assert fast.steps == reference.steps
+    return fast
+
+
+class TestRandomLibraryOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(scheduling_inputs(), st.sampled_from(MEMOISED))
+    def test_fast_schedule_equals_the_scheduler(self, inputs, name):
+        _same_schedule(name, *inputs)
+
+    @pytest.mark.parametrize("name", MEMOISED)
+    def test_committing_a_selection_that_is_no_candidate(self, name):
+        # a_0 already holds a faster molecule of X than the selected
+        # one, so equation (4) cleans the selection away and
+        # upgrade_si_fully (or finalize) must load it directly.
+        small = MoleculeImpl("X", "small", SPACE.molecule({"A": 1}), 50)
+        fast = MoleculeImpl("X", "fast", SPACE.molecule({"B": 2}), 20)
+        sis = {"X": SpecialInstruction("X", SPACE, 100, [small, fast])}
+        schedule = _same_schedule(
+            name, {"X": small}, sis, SPACE.molecule({"B": 2}), {"X": 3.0}
+        )
+        assert schedule.atom_sequence() == ("A",)
+        (step,) = schedule.steps
+        assert (step.impl, step.latency_before) == (small, 20)
+
+    @pytest.mark.parametrize("name", MEMOISED)
+    def test_closing_loads_keep_the_reference_latency_records(self, name):
+        # a_0 holds faster molecules of both SIs than the selected ones,
+        # so HEF and SJF leave both selections for finalize.  Loading
+        # X's atom A makes Y's fastest molecule available, but the
+        # reference finalize records Y's step against Y's old best
+        # latency (30), not the newly available 10.
+        x_sel = MoleculeImpl("X", "sel", SPACE.molecule({"A": 1}), 50)
+        x_fast = MoleculeImpl("X", "fast", SPACE.molecule({"B": 1}), 20)
+        y_sel = MoleculeImpl("Y", "sel", SPACE.molecule({"C": 1}), 50)
+        y_fast = MoleculeImpl("Y", "fast", SPACE.molecule({"D": 1}), 30)
+        y_top = MoleculeImpl("Y", "top", SPACE.molecule({"A": 1, "D": 1}), 10)
+        sis = {
+            "X": SpecialInstruction("X", SPACE, 100, [x_sel, x_fast]),
+            "Y": SpecialInstruction("Y", SPACE, 100, [y_sel, y_fast, y_top]),
+        }
+        schedule = _same_schedule(
+            name, {"X": x_sel, "Y": y_sel}, sis,
+            SPACE.molecule({"B": 1, "D": 1}), {"X": 1.0, "Y": 1.0},
+        )
+        assert sorted(schedule.atom_sequence()) == ["A", "C"]

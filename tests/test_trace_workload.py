@@ -18,6 +18,14 @@ class TestHotSpotTrace:
             frame_index=0,
         )
 
+    def test_counts_are_read_only_but_the_input_is_not(self):
+        counts = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        trace = self.make(counts)
+        with pytest.raises(ValueError):
+            trace.counts[0, 0] = 9
+        counts[0, 0] = 9  # the caller's array is not frozen
+        assert counts[0, 0] == 9
+
     def test_totals(self):
         trace = self.make([[1, 2], [3, 4]])
         assert trace.totals() == {"X": 4, "Y": 6}
