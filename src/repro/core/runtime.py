@@ -27,6 +27,14 @@ Being pure, a plan is a function of its inputs alone, so
 manager of the process (:data:`_PLAN_MEMO`).  The key holds every input
 a plan depends on; the memo changes speed only and never enters a
 result, journal, cache key or metric.
+
+Whether it pays depends on the workload.  The key includes the fabric's
+availability, which differs at nearly every hot-spot entry of a sweep,
+but a service re-planning the same request sees the same one.  Hits per
+lookup on the perf workloads (seed 2008): ``sweep-fig7`` 0/1,440,
+``sweep-prefetch`` 70/1,729, ``sweep-traced`` 0/792, ``service-soak``
+102/120 and ``service-miss`` 1,641/1,659.  The memo stays for the
+service.
 """
 
 from __future__ import annotations

@@ -72,7 +72,8 @@ class AtomRegistry:
 
     Immutable (no mutators, and there must never be any): one registry
     is shared by every simulator of a process, see
-    :func:`~repro.h264.silibrary.h264_platform`.
+    :func:`~repro.h264.silibrary.h264_platform`.  That is what lets it
+    convert every bitstream size to port cycles once, at construction.
     """
 
     def __init__(self, atom_types: Iterable[AtomType]):
@@ -86,6 +87,10 @@ class AtomRegistry:
         if not self._types:
             raise InvalidMoleculeError("registry needs at least one atom type")
         self._space = AtomSpace(tuple(self._types))
+        self._cycles: Dict[str, int] = {
+            name: atom_type.reconfig_cycles
+            for name, atom_type in self._types.items()
+        }
 
     @classmethod
     def uniform(cls, names: Iterable[str],
@@ -121,7 +126,10 @@ class AtomRegistry:
 
     def reconfig_cycles(self, name: str) -> int:
         """Reconfiguration latency of one atom type, in cycles."""
-        return self.get(name).reconfig_cycles
+        cycles = self._cycles.get(name)
+        if cycles is None:
+            return self.get(name).reconfig_cycles  # raises: unknown name
+        return cycles
 
     def average_reconfig_cycles(self) -> float:
         """Mean reconfiguration latency over all atom types.

@@ -16,7 +16,7 @@ selection bug, not an expected run-time condition.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.molecule import AtomSpace, Molecule
 from ..errors import CapacityError, ContainerFaultError, FabricError
@@ -276,16 +276,18 @@ class Fabric:
         target.begin_load(atom_type, now)
         return target
 
-    def touch_atoms(self, molecule: Molecule, now: int) -> None:
-        """Mark the loaded instances serving ``molecule`` as just used.
+    def touch_atoms(
+        self, atoms: Iterable[Tuple[str, int]], now: int
+    ) -> None:
+        """Mark the loaded instances serving ``atoms`` as just used.
 
-        Keeps the LRU eviction honest: atoms that execute SIs stay,
-        leftovers from previous hot spots age out first.
+        ``atoms`` holds ``(atom type, count)`` pairs, one per atom type
+        in use, so a span touches only the types its SIs run on.  Keeps
+        the LRU eviction honest: atoms that execute SIs stay, leftovers
+        from previous hot spots age out first.
         """
         groups = self._loaded_groups
-        for atom_type, wanted in zip(molecule.space.names, molecule.counts):
-            if not wanted:
-                continue
+        for atom_type, wanted in atoms:
             group = groups.get(atom_type)
             if not group:
                 continue

@@ -159,7 +159,12 @@ class SystemSimulator(ABC):
     def _impl_for(
         self, si_name: str, available: Molecule, context: object
     ) -> MoleculeImpl:
-        """The implementation an SI execution uses right now."""
+        """The implementation an SI execution uses right now.
+
+        The reference :meth:`_dispatch_preference` must reproduce;
+        ``tests/test_replay_state.py`` checks the two agree over random
+        availabilities.
+        """
 
     def _finish(self, trace: HotSpotTrace, context: object) -> None:
         """Hook called after a hot-spot invocation completed."""
@@ -183,30 +188,28 @@ class SystemSimulator(ABC):
     def _dispatch_memo_key(
         self, trace: HotSpotTrace, context: object
     ) -> Optional[object]:
-        """Hashable key under which :meth:`_impl_for` may be memoized.
+        """Hashable key under which dispatch may be shared across traces.
 
-        The vector executor caches dispatch results per (key, fabric
-        availability).  A system whose dispatch depends on more than the
-        availability must fold that extra state into the key; ``None``
-        (the safe default) disables memoization entirely — dispatch is
-        then recomputed through :meth:`_impl_for` on every span.
+        The vector executor keeps one set of preference rows and one
+        dispatch memo (availability -> implementations) per key for the
+        whole run.  A system whose :meth:`_dispatch_preference` lists
+        depend on the context must fold that context into the key;
+        ``None`` (the safe default) rebuilds both for every trace.
         """
         return None
 
+    @abstractmethod
     def _dispatch_preference(
         self, si_name: str, context: object
-    ) -> Optional[Sequence[MoleculeImpl]]:
+    ) -> Sequence[MoleculeImpl]:
         """Static preference order replicating :meth:`_impl_for`.
 
-        When a system's dispatch is equivalent to "the first
-        implementation of this ordered list whose atoms are loaded", it
-        can return that list here and the vector executor resolves
-        dispatch-memo misses with one array feasibility scan instead of
-        per-SI molecule walks.  The list must contain at least one
-        always-feasible entry (a software implementation).  ``None``
-        (the default) resolves misses per SI through :meth:`_impl_for`.
+        Dispatch must equal "the first implementation of this ordered
+        list whose atoms are loaded": the vector executor resolves it
+        on sparse rows of this list, never through :meth:`_impl_for`.
+        The list must contain an always-feasible entry (a software
+        implementation).
         """
-        return None
 
     def _decision_event(
         self,

@@ -76,15 +76,34 @@ class HotSpotTrace:
             raise TraceError(
                 f"negative per-iteration overhead: {self.overhead_per_iteration}"
             )
+        self._prefix: Optional[np.ndarray] = None
 
     @property
     def iterations(self) -> int:
         return int(self.counts.shape[0])
 
+    def prefix_sums(self) -> np.ndarray:
+        """Row-prefix sums of ``counts``, shape ``(iterations + 1, SIs)``.
+
+        Row ``t`` holds each SI's executions in the first ``t``
+        iterations, so any span's work is a difference of two rows.
+        Built on first use and kept, read-only, for the trace's
+        lifetime: every replay of a shared trace reads the same array.
+        """
+        prefix = self._prefix
+        if prefix is None:
+            prefix = np.zeros(
+                (self.iterations + 1, len(self.si_names)), dtype=np.int64
+            )
+            if self.iterations:
+                np.cumsum(self.counts, axis=0, out=prefix[1:])
+            prefix.flags.writeable = False
+            self._prefix = prefix
+        return prefix
+
     def totals(self) -> Dict[str, int]:
         """Total executions per SI over the whole invocation."""
-        sums = self.counts.sum(axis=0)
-        return {name: int(s) for name, s in zip(self.si_names, sums)}
+        return dict(zip(self.si_names, self.prefix_sums()[-1].tolist()))
 
     def total_executions(self) -> int:
         return int(self.counts.sum())

@@ -64,7 +64,7 @@ class TestFabricIntegration:
         b.complete_load(11)
         # Touch A recently: LRU would evict B, FIFO still evicts A
         # (loaded first).
-        fabric.touch_atoms(space.unit("A"), 100)
+        fabric.touch_atoms([("A", 1)], 100)
         victim_holder = fabric.begin_load("C", 200, space.zero())
         assert victim_holder.atom_type == "C"
         assert fabric.loaded_count("A") == 0  # FIFO evicted A
@@ -73,8 +73,8 @@ class TestFabricIntegration:
         fabric = Fabric(toy_registry, 1)
         a = fabric.begin_load("A", 0, fabric.space.zero())
         a.complete_load(1)
-        fabric.touch_atoms(fabric.space.unit("A"), 5)
-        fabric.touch_atoms(fabric.space.unit("A"), 6)
+        fabric.touch_atoms([("A", 1)], 5)
+        fabric.touch_atoms([("A", 1)], 6)
         assert fabric.containers[0].use_count == 2
 
     def test_policies_yield_valid_runs(

@@ -126,7 +126,7 @@ class TestFabric:
         a.complete_load(1)
         b = fabric.begin_load("B", 2, space.zero())
         b.complete_load(3)
-        fabric.touch_atoms(space.unit("A"), 10)  # A recently used
+        fabric.touch_atoms([("A", 1)], 10)  # A recently used
         retained = space.unit("A")  # plan keeps A, B is stale
         c = fabric.begin_load("C", 20, retained)
         assert c.index == b.index  # B was evicted
