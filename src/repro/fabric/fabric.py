@@ -246,6 +246,20 @@ class Fabric:
         CapacityError
             When neither a free nor an evictable container exists.
         """
+        target = self.try_begin_load(atom_type, now, retained)
+        if target is None:
+            raise self.capacity_error(atom_type, retained)
+        return target
+
+    def try_begin_load(
+        self, atom_type: str, now: int, retained: Molecule
+    ) -> Optional[AtomContainer]:
+        """:meth:`begin_load`, but None (and no change) when no room.
+
+        For callers that expect a full fabric, such as the speculative
+        prefetch lane: they skip building the :class:`CapacityError`
+        message, which describes every container.
+        """
         if atom_type not in self.registry:
             raise FabricError(f"unknown atom type {atom_type!r}")
         target: Optional[AtomContainer] = None
@@ -254,27 +268,32 @@ class Fabric:
             target = self.containers[min(self._empty)]
         if target is None:
             target = self._pick_victim(retained)
-            if target is not None:
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        Eviction(
-                            cycle=now,
-                            atom_type=target.atom_type,
-                            container_index=target.index,
-                        )
+            if target is None:
+                return None
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    Eviction(
+                        cycle=now,
+                        atom_type=target.atom_type,
+                        container_index=target.index,
                     )
-                target.evict()
-                self._evictions += 1
-        if target is None:
-            raise CapacityError(
-                f"no free or evictable AC for atom {atom_type!r}: "
-                f"{self.usable_acs}/{self.num_acs} ACs usable "
-                f"({self.dead_count} dead), retained meta-molecule "
-                f"{retained.as_dict()}, per-container occupancy: "
-                f"{self.container_states()}"
-            )
+                )
+            target.evict()
+            self._evictions += 1
         target.begin_load(atom_type, now)
         return target
+
+    def capacity_error(
+        self, atom_type: str, retained: Molecule
+    ) -> CapacityError:
+        """The error for a load of ``atom_type`` that found no room."""
+        return CapacityError(
+            f"no free or evictable AC for atom {atom_type!r}: "
+            f"{self.usable_acs}/{self.num_acs} ACs usable "
+            f"({self.dead_count} dead), retained meta-molecule "
+            f"{retained.as_dict()}, per-container occupancy: "
+            f"{self.container_states()}"
+        )
 
     def touch_atoms(
         self, atoms: Iterable[Tuple[str, int]], now: int

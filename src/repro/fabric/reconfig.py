@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..core.molecule import Molecule
-from ..errors import CapacityError, FabricError, SimulationError, TransientLoadError
+from ..errors import FabricError, SimulationError, TransientLoadError
 from ..obs.events import (
     ContainerDead,
     LoadAbandoned,
@@ -322,16 +322,15 @@ class ReconfigPort:
         rule normal loads use), but when the current plan needs every
         loaded atom it is dropped instead of raising.
         """
-        try:
-            container = self.fabric.begin_load(atom_type, now, self._retained)
-        except CapacityError:
+        container = self.fabric.try_begin_load(atom_type, now, self._retained)
+        if container is None:
             if speculative:
                 # Nothing evictable: the current selection needs every
                 # loaded atom.  Drop the speculation at zero bus cost.
                 self._spec_dropped.append(atom_type)
                 return False
             if not self.fabric.is_degraded:
-                raise
+                raise self.fabric.capacity_error(atom_type, self._retained)
             self._loads_abandoned += 1
             if self.tracer.enabled:
                 self.tracer.emit(

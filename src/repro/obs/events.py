@@ -59,6 +59,7 @@ __all__ = [
     "AcRetired",
     "event_from_json_dict",
     "event_kinds",
+    "field_names",
 ]
 
 
@@ -81,6 +82,23 @@ def event_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_KIND_REGISTRY))
 
 
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of ``cls`` in declaration order.
+
+    Read once per class and cached: the JSON forms of events and
+    decision steps, and the event-log encoder, walk this table instead
+    of calling :func:`dataclasses.fields` per record.
+    """
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = tuple(field.name for field in dataclasses.fields(cls))
+        _FIELD_NAMES[cls] = names
+    return names
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """Base of all trace events: a timestamped, typed record."""
@@ -93,14 +111,14 @@ class TraceEvent:
     def to_json_dict(self) -> Dict[str, Any]:
         """Plain-JSON representation: the fields plus the kind tag."""
         data: Dict[str, Any] = {"kind": self.kind}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+        for name in field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, tuple):
                 value = [
                     v.to_json_dict() if isinstance(v, DecisionStep) else v
                     for v in value
                 ]
-            data[field.name] = value
+            data[name] = value
         return data
 
 
@@ -209,7 +227,9 @@ class DecisionStep:
     benefit_den: int
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        return {
+            name: getattr(self, name) for name in field_names(DecisionStep)
+        }
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "DecisionStep":

@@ -168,3 +168,15 @@ def test_event_log_file_round_trip(pinned_events, tmp_path):
     path = tmp_path / "log.json"
     write_event_log(pinned_events, path)
     assert read_event_log(path) == pinned_events
+
+
+def test_golden_event_log_bytes(pinned_events, tmp_path):
+    # The comparisons above re-dump both sides; this one pins the writer's
+    # exact bytes: key order, indentation, float spelling, trailing newline.
+    path = write_event_log(pinned_events, tmp_path / "log.json")
+    assert path.read_bytes() == GOLDEN_LOG.read_bytes()
+
+
+def test_golden_prefetch_event_log_bytes(pinned_prefetch_events, tmp_path):
+    path = write_event_log(pinned_prefetch_events, tmp_path / "log.json")
+    assert path.read_bytes() == GOLDEN_PREFETCH_LOG.read_bytes()
