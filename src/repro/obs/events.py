@@ -138,20 +138,20 @@ def event_from_json_dict(data: Mapping[str, Any]) -> TraceEvent:
             f"unknown trace-event kind {kind!r}; known: {list(event_kinds())}"
         )
     kwargs: Dict[str, Any] = {}
-    for field in dataclasses.fields(cls):
-        if field.name not in data:
+    for name in field_names(cls):
+        if name not in data:
             raise ObservabilityError(
-                f"event of kind {kind!r} is missing field {field.name!r}"
+                f"event of kind {kind!r} is missing field {name!r}"
             )
-        value = data[field.name]
+        value = data[name]
         if isinstance(value, (list, tuple)):
-            if cls is SchedulerDecision and field.name == "steps":
+            if cls is SchedulerDecision and name == "steps":
                 value = tuple(
                     DecisionStep.from_json_dict(v) for v in value
                 )
             else:
                 value = _tupleize(value)
-        kwargs[field.name] = value
+        kwargs[name] = value
     return cls(**kwargs)
 
 

@@ -190,11 +190,15 @@ class SystemSimulator(ABC):
     ) -> Optional[object]:
         """Hashable key under which dispatch may be shared across traces.
 
-        The vector executor keeps one set of preference rows and one
-        dispatch memo (availability -> implementations) per key for the
-        whole run.  A system whose :meth:`_dispatch_preference` lists
-        depend on the context must fold that context into the key;
-        ``None`` (the safe default) rebuilds both for every trace.
+        The vector executor keeps one dispatch memo (availability ->
+        implementations) per key for the whole run, and one set of
+        preference rows per key for the whole *process*: the rows are
+        shared by every simulator of the same class, library (by
+        identity) and processor.  The key must therefore fix every
+        :meth:`_dispatch_preference` list of the trace's SIs — a system
+        whose lists depend on the context must fold that context into
+        the key.  ``None`` (the safe default) rebuilds both for every
+        trace.
         """
         return None
 

@@ -18,11 +18,15 @@ as rarely as its inputs allow:
   ``W`` and three ``.item()`` reads.  The curve is not kept across
   replays: a run replays each trace once, so keeping it would only add
   memory;
-* **per (SI set, availability) pair, once per run** — the SI dispatch.
-  Each SI's preference list is held as sparse ``(position, count)``
-  rows, best first; a miss takes each SI's first row that fits the
-  loaded counts and unions the chosen rows into the ``(atom type,
-  count)`` pairs the fabric's LRU touch needs.
+* **per dispatch key, once per process** — each SI's preference list,
+  held as sparse ``(position, count)`` rows, best first.  The rows
+  depend only on the system class, the library, the processor and the
+  dispatch memo key, so every simulator of a process shares them
+  (:data:`_PREF_ROWS`);
+* **per (dispatch key, availability) pair, once per run** — the SI
+  dispatch.  A miss takes each SI's first row that fits the loaded
+  counts and unions the chosen rows into the ``(atom type, count)``
+  pairs the fabric's LRU touch needs.
 
 With a tracer attached the executor emits the span-level events —
 :class:`~repro.obs.events.SIUpgrade` whenever an SI's effective latency
@@ -45,13 +49,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.scoring import LruMemo
 from ..errors import SimulationError
 from ..obs.events import DegradedEnter, DegradedExit, SIUpgrade
 from ..workload.trace import HotSpotTrace
 from .results import LatencyEvent, Segment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.si import MoleculeImpl
+    from ..core.si import MoleculeImpl, SILibrary
     from .engine import SystemSimulator
 
 __all__ = ["VectorExecutor"]
@@ -67,6 +72,14 @@ _DispatchEntry = Tuple[
 _PrefRow = Tuple[Tuple[Tuple[int, int], ...], int, "MoleculeImpl"]
 #: One SI's preferences, best first; the last row needs no atoms.
 _PrefRows = Tuple[_PrefRow, ...]
+
+#: Every column's preference rows by ``(system class, id(library),
+#: processor, dispatch memo key)``, shared by every simulator of the
+#: process.  Each entry holds its library, so the ``id()`` key can never
+#: alias a recycled object.  The fig7 sweep needs 56 keys, 53 of them
+#: Molen's (one per set of chosen implementations); the bound caps what
+#: a process that builds many libraries (a test run) pins.
+_PREF_ROWS: LruMemo[Tuple["SILibrary", Tuple[_PrefRows, ...]]] = LruMemo(256)
 
 
 class _TraceArrays:
@@ -119,8 +132,6 @@ class VectorExecutor:
         # outer lookup happens once per trace replay, so the per-span
         # cost is one small-tuple hash.
         self._memo: Dict[object, Dict[Tuple[int, ...], _DispatchEntry]] = {}
-        # Per dispatch key: every column's sparse preference rows.
-        self._pref: Dict[object, Tuple[_PrefRows, ...]] = {}
         # The latency last reported per SI and the degraded flag last
         # reported: latency and degraded events report changes only,
         # across the whole run.
@@ -159,6 +170,18 @@ class VectorExecutor:
                 )
             columns.append(tuple(rows))
         return tuple(columns)
+
+    def _shared_rows(
+        self, trace: HotSpotTrace, context: object, memo_key: object
+    ) -> Tuple[_PrefRows, ...]:
+        """:meth:`_pref_rows`, built once per process and dispatch key."""
+        sim = self._sim
+        key = (type(sim), id(sim.library), sim.processor, memo_key)
+        held = _PREF_ROWS.lookup(key)
+        if held is None:
+            held = (sim.library, self._pref_rows(trace, context))
+            _PREF_ROWS.store(key, held)
+        return held[1]
 
     def _dispatch(
         self, columns: Tuple[_PrefRows, ...], avail_counts: Tuple[int, ...]
@@ -210,14 +233,13 @@ class VectorExecutor:
         iterations = trace.iterations
         arrays = _TraceArrays(trace)
         memo_key = sim._dispatch_memo_key(trace, context)
-        columns = None if memo_key is None else self._pref.get(memo_key)
-        if columns is None:
+        memo: Dict[Tuple[int, ...], _DispatchEntry]
+        if memo_key is None:
             columns = self._pref_rows(trace, context)
-            if memo_key is not None:
-                self._pref[memo_key] = columns
-        memo: Dict[Tuple[int, ...], _DispatchEntry] = (
-            {} if memo_key is None else self._memo.setdefault(memo_key, {})
-        )
+            memo = {}
+        else:
+            columns = self._shared_rows(trace, context, memo_key)
+            memo = self._memo.setdefault(memo_key, {})
         # The fabric bumps ``_loaded_ver`` on every loaded-set edge, so it
         # is an exact version stamp for the loaded-counts snapshot.
         avail_ver = None

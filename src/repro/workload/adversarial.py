@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import TraceError
 from ..h264.silibrary import HOT_SPOT_ORDER, HOT_SPOT_SIS
-from .model import _BASE_COUNTS, _ITERATION_OVERHEAD
+from .model import _BASE_COUNTS, _ITERATION_OVERHEAD, _seeded_rng
 from .trace import HotSpotTrace, Workload
 
 __all__ = ["AdversarialWorkloadModel", "generate_adversarial_workload"]
@@ -95,7 +95,7 @@ class AdversarialWorkloadModel:
 
     def hot_spot_sequence(self) -> list:
         """The phase order alone (exposed for test assertions)."""
-        rng = np.random.RandomState(self.seed)
+        rng = _seeded_rng(self.seed)
         return self._sequence(rng)
 
     def _sequence(self, rng: np.random.RandomState) -> list:
@@ -112,7 +112,7 @@ class AdversarialWorkloadModel:
 
     def generate(self) -> Workload:
         """Build the workload (one trace per phase)."""
-        rng = np.random.RandomState(self.seed)
+        rng = _seeded_rng(self.seed)
         sequence = self._sequence(rng)
         workload = Workload(
             name=(

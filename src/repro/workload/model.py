@@ -27,6 +27,7 @@ intra prediction in EE; and strong-edge deblocking in LF.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Collection, Dict, Optional, Tuple
 
 import numpy as np
@@ -70,6 +71,52 @@ _ITERATION_OVERHEAD: Dict[str, int] = {
 #: macroblock.  Control-flow-bound counts (transform block counts, DC
 #: predictions) stay fixed.
 _ACTIVITY_SCALED: Tuple[str, ...] = ("SAD", "SATD", "MC", "LF_BS4")
+
+#: What an intra-coded macroblock multiplies an SI's count by: it skips
+#: motion compensation and does twice the DC intra prediction.
+_INTRA_FACTOR: Dict[str, float] = {"MC": 0.0, "IPredHDC": 2.0, "IPredVDC": 2.0}
+
+#: Every hot spot's SI columns side by side, in hot-spot order, so that
+#: :meth:`H264WorkloadModel.generate` computes all counts in one block:
+#: each column's base count, whether it scales with the activity, and
+#: its intra factor.
+_ALL_SIS: Tuple[str, ...] = tuple(
+    si for hot_spot in HOT_SPOT_ORDER for si in HOT_SPOT_SIS[hot_spot]
+)
+_BASE_ROW = np.array([_BASE_COUNTS[si] for si in _ALL_SIS])
+_SCALED_ROW = np.array([si in _ACTIVITY_SCALED for si in _ALL_SIS])
+_INTRA_ROW = np.array([_INTRA_FACTOR.get(si, 1.0) for si in _ALL_SIS])
+
+#: Each hot spot's columns of that block.
+_COLUMNS: Dict[str, slice] = {
+    hot_spot: slice(end - len(HOT_SPOT_SIS[hot_spot]), end)
+    for hot_spot, end in zip(
+        HOT_SPOT_ORDER,
+        accumulate(len(HOT_SPOT_SIS[hot_spot]) for hot_spot in HOT_SPOT_ORDER),
+    )
+}
+
+#: The one generator every workload model of the process draws from,
+#: made on first use: importing ``numpy.random`` costs a process that
+#: never generates a workload about 15 ms.
+_RNG: Optional[np.random.RandomState] = None
+
+
+def _seeded_rng(seed: int) -> np.random.RandomState:
+    """The process's workload generator, reseeded to ``seed``.
+
+    Building a ``RandomState`` costs about 155 µs; reseeding one costs
+    about 3 µs and yields the identical stream.  Sharing one instance is
+    safe because every caller draws all it needs before it returns and
+    calls out to nothing that draws in between, and because the package
+    plans on one thread per process.
+    """
+    global _RNG
+    if _RNG is None:
+        _RNG = np.random.RandomState(seed)
+    else:
+        _RNG.seed(seed)
+    return _RNG
 
 
 @dataclass
@@ -133,9 +180,9 @@ class H264WorkloadModel:
         """
         n_mb = self.mbs_per_frame
         amp = self.activity_amplitude
-        spatial_a = rng.uniform(-1.0, 1.0, size=n_mb)
-        spatial_b = rng.uniform(-1.0, 1.0, size=n_mb)
-        noise = rng.uniform(-1.0, 1.0, size=(self.num_frames, n_mb))
+        # Both spatial maps, then the noise, in stream order.
+        draws = rng.uniform(-1.0, 1.0, size=(self.num_frames + 2, n_mb))
+        spatial_a, spatial_b, noise = draws[0], draws[1], draws[2:]
         frames = np.arange(self.num_frames)[:, None]
         drift = np.sin(2.0 * np.pi * frames / 48.0)
         spatial = np.where(
@@ -158,45 +205,38 @@ class H264WorkloadModel:
         random draws do not depend on it, so every kept trace is
         byte-identical to the same trace of the full workload.
         """
-        rng = np.random.RandomState(self.seed)
+        rng = _seeded_rng(self.seed)
         activity = self._activity(rng)
-        n_mb = self.mbs_per_frame
+        # Intra-coded macroblocks skip motion compensation and do more
+        # intra prediction; the fraction rises with activity.  One draw
+        # of shape (frames, macroblocks) reads the same stream as one
+        # draw per frame.
+        intra = rng.uniform(size=activity.shape) < np.clip(
+            0.04 + 0.08 * (activity - 1.0), 0.0, 0.5
+        )
+        # Every count of every frame as one (frames, macroblocks, SIs)
+        # block, cut into one contiguous block per kept hot spot.
+        values = np.where(_SCALED_ROW, activity[..., None] * _BASE_ROW, _BASE_ROW)
+        values = np.where(intra[..., None], values * _INTRA_ROW, values)
+        counts = np.maximum(np.rint(values).astype(np.int64), 0)
+        blocks = {
+            hot_spot: np.ascontiguousarray(counts[..., columns])
+            for hot_spot, columns in _COLUMNS.items()
+            if hot_spots is None or hot_spot in hot_spots
+        }
         workload = Workload(
             name=(
                 f"h264-model-{self.width}x{self.height}-"
                 f"{self.num_frames}f-seed{self.seed}"
             )
         )
-        # Intra-coded macroblocks skip motion compensation and do more
-        # intra prediction; the fraction rises with activity.
         for frame in range(self.num_frames):
-            act = activity[frame]
-            intra = rng.uniform(size=n_mb) < np.clip(
-                0.04 + 0.08 * (act - 1.0), 0.0, 0.5
-            )
-            for hot_spot in HOT_SPOT_ORDER:
-                if hot_spots is not None and hot_spot not in hot_spots:
-                    continue
-                si_names = HOT_SPOT_SIS[hot_spot]
-                counts = np.zeros((n_mb, len(si_names)), dtype=np.int64)
-                for col, si_name in enumerate(si_names):
-                    base = _BASE_COUNTS[si_name]
-                    if si_name in _ACTIVITY_SCALED:
-                        values = base * act
-                    else:
-                        values = np.full(n_mb, base)
-                    if si_name == "MC":
-                        values = np.where(intra, 0.0, values)
-                    elif si_name in ("IPredHDC", "IPredVDC"):
-                        values = np.where(intra, values * 2.0, values)
-                    counts[:, col] = np.maximum(
-                        0, np.rint(values).astype(np.int64)
-                    )
+            for hot_spot, block in blocks.items():
                 workload.append(
                     HotSpotTrace(
                         hot_spot=hot_spot,
-                        si_names=si_names,
-                        counts=counts,
+                        si_names=HOT_SPOT_SIS[hot_spot],
+                        counts=block[frame],
                         overhead_per_iteration=_ITERATION_OVERHEAD[hot_spot],
                         frame_index=frame,
                     )
