@@ -107,6 +107,29 @@ class WorkloadSpec:
         return config
 
 
+def _needed_hot_spots(spec: WorkloadSpec) -> Optional[Tuple[str, ...]]:
+    """The h264 hot spots whose traces ``spec`` keeps.
+
+    Each frame holds one trace per kept hot spot, in
+    :data:`~repro.h264.silibrary.HOT_SPOT_ORDER`; when ``max_traces``
+    ends inside frame 0, only the first ``max_traces`` of them are
+    needed.  The model's draws do not depend on the hot spots, so the
+    traces are the same.
+    """
+    from ..h264.silibrary import HOT_SPOT_ORDER
+
+    if spec.max_traces is None:
+        return spec.hot_spots
+    kept = tuple(
+        hot_spot
+        for hot_spot in HOT_SPOT_ORDER
+        if spec.hot_spots is None or hot_spot in spec.hot_spots
+    )
+    if 0 <= spec.max_traces < len(kept):
+        return kept[: spec.max_traces]
+    return spec.hot_spots
+
+
 @functools.lru_cache(maxsize=4)
 def _generate(spec: WorkloadSpec) -> Tuple[str, Tuple["HotSpotTrace", ...]]:
     """The name and traces of ``spec``'s workload, kept for the last few
@@ -123,7 +146,7 @@ def _generate(spec: WorkloadSpec) -> Tuple[str, Tuple["HotSpotTrace", ...]]:
     else:
         workload = H264WorkloadModel(
             num_frames=spec.frames, seed=spec.seed
-        ).generate(hot_spots=spec.hot_spots)
+        ).generate(hot_spots=_needed_hot_spots(spec))
     traces = list(workload.traces)
     name = workload.name
     if spec.hot_spots is not None:

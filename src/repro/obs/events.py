@@ -233,13 +233,18 @@ class DecisionStep:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "DecisionStep":
+        benefit_num = data["benefit_num"]
         return cls(
             si_name=str(data["si_name"]),
             molecule=str(data["molecule"]),
             num_loads=int(data["num_loads"]),
             latency_before=int(data["latency_before"]),
             latency_after=int(data["latency_after"]),
-            benefit_num=float(data["benefit_num"]),
+            # An int was written as an int: ``float()`` would round one
+            # above 2**53, so it is kept exact, as top-level fields are.
+            benefit_num=(
+                benefit_num if type(benefit_num) is int else float(benefit_num)
+            ),
             benefit_den=int(data["benefit_den"]),
         )
 

@@ -37,7 +37,9 @@ scheduling/simulation requests with deadlines, and the service decides
   set (and a journal on disk), the arbiter periodically persists its
   generic encoding (:mod:`repro.service.snapshot`);
   :func:`recover_service` restores the
-  newest valid snapshot — or replays from tick 0 — and re-executes,
+  newest valid snapshot (folding the report history back from the
+  journal prefix it anchors to) — or replays from tick 0 — and
+  re-executes,
   verifying every regenerated journal line byte-for-byte against the
   on-disk tail, so a run killed at *any* tick recovers to bit-identical
   digests and reports.
@@ -60,7 +62,7 @@ import random
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Collection, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .._atomic import trim_torn_tail
 from ..core.runtime import RuntimeManager
@@ -90,7 +92,8 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from .admission import AdmissionController
 from .breaker import CircuitBreaker
 from .control import ControlEvent, ordered_controls, validate_control_events
-from .report import ServiceReport, TenantStats
+from .lines import JOURNAL_LINE
+from .report import ServiceReport, TenantStats, fold_history
 from .request import RequestRecord, ServiceRequest, generate_requests
 from .snapshot import (
     SNAPSHOT_FORMAT,
@@ -253,6 +256,9 @@ class ServiceConfig:
 class _ServiceJournal:
     """Canonical-JSONL journal with a running content digest.
 
+    Lines come from the per-kind templates of :mod:`repro.service.lines`
+    (byte for byte the ``canonical_json`` of the same record).
+
     The digest is computed over the exact bytes written, so two runs
     agree on the journal digest iff the files are bit-identical —
     whether or not a file was actually requested.  Every line is
@@ -307,8 +313,9 @@ class _ServiceJournal:
         journal._handle = Path(path).open("a", encoding="ascii")
         return journal
 
-    def write(self, record: Dict[str, Any]) -> None:
-        line = canonical_json(record)
+    def write(self, line: str) -> None:
+        """Append one line (a :data:`~repro.service.lines.JOURNAL_LINE`
+        writer's output, without its newline)."""
         data = line.encode("ascii") + b"\n"
         self._hash.update(data)
         self.offset += len(data)
@@ -389,18 +396,25 @@ class _Arbiter:
         requests = list(
             generate_requests(tenants, config.duration, config.seed)
         )
-        for event in self.controls:
+        #: Each stream's seqs, by the index of the control event that
+        #: starts it (the initial fleet's stream is at -1).  Seqs of one
+        #: stream are consecutive and in arrival order, so the heap holds
+        #: one pending arrival per stream and its successor is ``seq+1``.
+        self.streams: Dict[int, range] = {-1: range(len(requests))}
+        for index, event in enumerate(self.controls):
             if event.spec is not None:
                 self.tenants[event.name] = event.spec
+                first = len(requests)
                 requests.extend(
                     generate_requests(
                         [event.spec],
                         config.duration,
                         config.seed,
                         start=event.tick,
-                        first_seq=len(requests),
+                        first_seq=first,
                     )
                 )
+                self.streams[index] = range(first, len(requests))
         self.requests: Tuple[ServiceRequest, ...] = tuple(requests)
         self.state = state if state is not None else ArbiterState(
             breaker=CircuitBreaker(
@@ -551,30 +565,30 @@ class _Arbiter:
     def run(self) -> ServiceReport:
         state = self.state
         self.journal.write(
-            {
-                "kind": "header",
-                "format": SERVICE_JOURNAL_FORMAT,
-                "salt": self._salt(),
-                "fingerprint": self.fingerprint,
-                "seed": self.config.seed,
-                "duration": self.config.duration,
-                "num_acs": self.config.num_acs,
-                "tenants": sorted(tenant.name for tenant in self.fleet),
-            }
+            JOURNAL_LINE["header"](
+                format=SERVICE_JOURNAL_FORMAT,
+                salt=self._salt(),
+                fingerprint=self.fingerprint,
+                seed=self.config.seed,
+                duration=self.config.duration,
+                num_acs=self.config.num_acs,
+                tenants=sorted(tenant.name for tenant in self.fleet),
+            )
         )
         self.seed_estimates()
-        self._push_arrivals({tenant.name for tenant in self.fleet})
+        self._push_arrival(self.streams[-1].start, self.streams[-1].stop)
         for tick in self.config.fault_ticks:
             state.clock.push(tick, _FAULT)
         for index, event in enumerate(self.controls):
             state.clock.push(event.tick, _CONTROL, index)
         return self.run_loop()
 
-    def _push_arrivals(self, tenants: Collection[str]) -> None:
-        """Schedule every arrival of ``tenants``' request streams."""
-        for request in self.requests:
-            if request.tenant in tenants:
-                self.state.clock.push(request.arrival, _ARRIVAL, request.seq)
+    def _push_arrival(self, seq: int, end: int) -> None:
+        """Schedule request ``seq``, unless its stream ended before it."""
+        if seq < end:
+            self.state.clock.push_arrival(
+                self.requests[seq].arrival, _ARRIVAL, seq, end
+            )
 
     def run_loop(self) -> ServiceReport:
         """Process the event heap to exhaustion (also the entry point of
@@ -598,10 +612,11 @@ class _Arbiter:
             if kind == _FAULT:
                 self._on_fault(now)
             elif kind == _CONTROL:
-                self._on_control(now, self.controls[a])
+                self._on_control(now, a)
             elif kind == _COMPLETE:
                 self._on_complete(now, a, b)
             elif kind == _ARRIVAL:
+                self._push_arrival(a + 1, b)
                 self._on_arrival(now, self.requests[a])
             # _DISPATCH events carry no payload: the dispatch pass below
             # runs after *every* event anyway; the heap entry only
@@ -652,13 +667,12 @@ class _Arbiter:
                 )
             )
         self.journal.write(
-            {
-                "kind": "shed",
-                "tick": now,
-                "tenant": request.tenant,
-                "request": request.request_id,
-                "reason": reason,
-            }
+            JOURNAL_LINE["shed"](
+                tick=now,
+                tenant=request.tenant,
+                request=request.request_id,
+                reason=reason,
+            )
         )
 
     def _on_arrival(self, now: int, request: ServiceRequest) -> None:
@@ -686,12 +700,11 @@ class _Arbiter:
             record.started = now
             self.state.running.append(record)
             self.journal.write(
-                {
-                    "kind": "hit",
-                    "tick": now,
-                    "tenant": request.tenant,
-                    "request": request.request_id,
-                }
+                JOURNAL_LINE["hit"](
+                    tick=now,
+                    tenant=request.tenant,
+                    request=request.request_id,
+                )
             )
             self.state.clock.push(
                 now + _HIT_LATENCY_TICKS,
@@ -732,14 +745,13 @@ class _Arbiter:
                 )
             )
         self.journal.write(
-            {
-                "kind": "admit",
-                "tick": now,
-                "tenant": request.tenant,
-                "request": request.request_id,
-                "hot_spot": request.hot_spot,
-                "deadline": request.deadline,
-            }
+            JOURNAL_LINE["admit"](
+                tick=now,
+                tenant=request.tenant,
+                request=request.request_id,
+                hot_spot=request.hot_spot,
+                deadline=request.deadline,
+            )
         )
 
     def _on_fault(self, now: int) -> None:
@@ -752,9 +764,7 @@ class _Arbiter:
             self.tracer.emit(
                 ContainerDead(cycle=now, container_index=index)
             )
-        self.journal.write(
-            {"kind": "fault", "tick": now, "container": index}
-        )
+        self.journal.write(JOURNAL_LINE["fault"](tick=now, container=index))
         transition = self.state.breaker.on_fault(now)
         if transition is not None:
             self._breaker_event(now, transition)
@@ -771,9 +781,10 @@ class _Arbiter:
 
     # -- live reconfiguration ----------------------------------------------
 
-    def _on_control(self, now: int, event: ControlEvent) -> None:
+    def _on_control(self, now: int, index: int) -> None:
+        event = self.controls[index]
         if event.action == "tenant_join":
-            self._control_join(now, event)
+            self._control_join(now, event, self.streams[index])
         elif event.action == "tenant_leave":
             self._control_leave(now, event)
         elif event.action == "ac_add":
@@ -781,7 +792,9 @@ class _Arbiter:
         else:
             self._control_ac_remove(now, event)
 
-    def _control_join(self, now: int, event: ControlEvent) -> None:
+    def _control_join(
+        self, now: int, event: ControlEvent, stream: range
+    ) -> None:
         spec = event.spec
         assert spec is not None  # validate_control_events enforced it
         self.state.stats[spec.name] = TenantStats(
@@ -802,28 +815,18 @@ class _Arbiter:
                 )
             )
         self.journal.write(
-            {
-                "kind": "control",
-                "action": "tenant_join",
-                "tick": now,
-                "tenant": spec.name,
-            }
+            JOURNAL_LINE["tenant_join"](tick=now, tenant=spec.name)
         )
         # The joining tenant's request stream is already in the request
         # table (generated from the join tick, numbered after every
         # earlier stream); its arrivals start now.
-        self._push_arrivals((spec.name,))
+        self._push_arrival(stream.start, stream.stop)
 
     def _control_leave(self, now: int, event: ControlEvent) -> None:
         self.state.draining.add(event.name)
         self._count("service.tenants_leaving")
         self.journal.write(
-            {
-                "kind": "control",
-                "action": "tenant_leave",
-                "tick": now,
-                "tenant": event.name,
-            }
+            JOURNAL_LINE["tenant_leave"](tick=now, tenant=event.name)
         )
         self._check_drained(now, event.name)
 
@@ -831,13 +834,11 @@ class _Arbiter:
         self.state.leases.num_acs += event.count
         self._count("service.acs_added", event.count)
         self.journal.write(
-            {
-                "kind": "control",
-                "action": "ac_add",
-                "tick": now,
-                "count": event.count,
-                "num_acs": self.state.leases.num_acs,
-            }
+            JOURNAL_LINE["ac_add"](
+                tick=now,
+                count=event.count,
+                num_acs=self.state.leases.num_acs,
+            )
         )
 
     def _control_ac_remove(self, now: int, event: ControlEvent) -> None:
@@ -856,13 +857,9 @@ class _Arbiter:
                     )
                 )
             self.journal.write(
-                {
-                    "kind": "control",
-                    "action": "ac_remove",
-                    "tick": now,
-                    "container": index,
-                    "usable_acs": leases.usable,
-                }
+                JOURNAL_LINE["ac_remove"](
+                    tick=now, container=index, usable_acs=leases.usable
+                )
             )
         self._preempt_overcommitted(now, "retire")
 
@@ -884,12 +881,7 @@ class _Arbiter:
                 )
             )
         self.journal.write(
-            {
-                "kind": "drained",
-                "tick": now,
-                "tenant": name,
-                "completed": completed,
-            }
+            JOURNAL_LINE["drained"](tick=now, tenant=name, completed=completed)
         )
 
     def _on_complete(self, now: int, seq: int, epoch: int) -> None:
@@ -901,15 +893,13 @@ class _Arbiter:
         request = record.request
         stats = self.state.stats[request.tenant]
         latency = now - request.arrival
-        stats.latencies.append(latency)
-        stats.completions.append(
-            {
-                "request": request.request_id,
-                "tick": now,
-                "digest": record.digest,
-                "degraded": record.degraded,
-                "cache_hit": record.cache_hit,
-            }
+        stats.record_completion(
+            request.request_id,
+            now,
+            latency,
+            record.digest,
+            record.degraded,
+            record.cache_hit,
         )
         if not record.admitted:
             stats.cache_hits += 1
@@ -944,16 +934,15 @@ class _Arbiter:
                 )
             )
         self.journal.write(
-            {
-                "kind": "complete",
-                "tick": now,
-                "tenant": request.tenant,
-                "request": request.request_id,
-                "latency": latency,
-                "degraded": record.degraded,
-                "cache_hit": record.cache_hit,
-                "digest": record.digest,
-            }
+            JOURNAL_LINE["complete"](
+                tick=now,
+                tenant=request.tenant,
+                request=request.request_id,
+                latency=latency,
+                degraded=record.degraded,
+                cache_hit=record.cache_hit,
+                digest=record.digest,
+            )
         )
         self._check_drained(now, request.tenant)
 
@@ -968,9 +957,7 @@ class _Arbiter:
                     faults=self.state.breaker.faults_in_window(now),
                 )
             )
-        self.journal.write(
-            {"kind": "breaker", "tick": now, "state": state}
-        )
+        self.journal.write(JOURNAL_LINE["breaker"](tick=now, state=state))
 
     # -- dispatch and preemption -------------------------------------------
 
@@ -1049,13 +1036,12 @@ class _Arbiter:
                 )
             )
         self.journal.write(
-            {
-                "kind": "degraded",
-                "tick": now,
-                "tenant": request.tenant,
-                "request": request.request_id,
-                "reason": reason,
-            }
+            JOURNAL_LINE["degraded"](
+                tick=now,
+                tenant=request.tenant,
+                request=request.request_id,
+                reason=reason,
+            )
         )
 
     def _preempt_for(self, head: RequestRecord, now: int) -> bool:
@@ -1124,14 +1110,13 @@ class _Arbiter:
                 )
             )
         self.journal.write(
-            {
-                "kind": "preempt",
-                "tick": now,
-                "tenant": request.tenant,
-                "request": request.request_id,
-                "reason": reason,
-                "backoff": backoff,
-            }
+            JOURNAL_LINE["preempt"](
+                tick=now,
+                tenant=request.tenant,
+                request=request.request_id,
+                reason=reason,
+                backoff=backoff,
+            )
         )
 
     # -- snapshot ----------------------------------------------------------
@@ -1330,15 +1315,19 @@ def recover_service(
     state: Optional[ArbiterState] = None
     offset = resume_tick = 0
     if snapshot is not None:
+        offset = int(snapshot["journal_offset"])
         try:
-            state = decode_state(snapshot["state"])
+            restored: ArbiterState = decode_state(snapshot["state"])
+            # History is not in the snapshot: fold it back from the
+            # verified journal prefix the snapshot anchors to.
+            fold_history(restored.stats, data[:offset])
         except (
             AttributeError, KeyError, IndexError, TypeError, ValueError
         ) as exc:
             raise RecoveryError(
                 f"snapshot is structurally invalid: {exc!r}"
             ) from exc
-        offset = int(snapshot["journal_offset"])
+        state = restored
         resume_tick = int(snapshot["tick"])
     tail = data[offset:].decode("ascii").splitlines()
     journal = _ServiceJournal.for_recovery(

@@ -5,17 +5,25 @@ never-drop invariant (``dropped_admitted`` must be 0), per-tenant
 latency percentiles, and the determinism digests — one per tenant over
 its completion stream, one over the whole journal — that the soak test
 and the CI ``service-soak`` job compare across runs.
+
+Each tenant's latencies and completion records are *report history*:
+they grow with the run and no decision reads them, so their fields are
+marked ``metadata={"history": True}`` and the snapshot codec leaves
+them out.  Every ``complete`` journal line carries all of one
+completion's history, so recovery rebuilds it by folding the verified
+journal prefix (:func:`fold_history`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Mapping
 
 from ..exec.cache import canonical_json
 
-__all__ = ["TenantStats", "ServiceReport"]
+__all__ = ["TenantStats", "ServiceReport", "fold_history"]
 
 
 def _percentile(values: List[int], q: float) -> float:
@@ -40,9 +48,34 @@ class TenantStats:
     cache_hits: int = 0
     preemptions: int = 0
     shed: Dict[str, int] = field(default_factory=dict)
-    latencies: List[int] = field(default_factory=list)
+    latencies: List[int] = field(
+        default_factory=list, metadata={"history": True}
+    )
     #: Per-completion records feeding :meth:`digest`.
-    completions: List[Dict[str, Any]] = field(default_factory=list)
+    completions: List[Dict[str, Any]] = field(
+        default_factory=list, metadata={"history": True}
+    )
+
+    def record_completion(
+        self,
+        request: str,
+        tick: int,
+        latency: int,
+        digest: str,
+        degraded: bool,
+        cache_hit: bool,
+    ) -> None:
+        """Append one completion to the history (live or folded)."""
+        self.latencies.append(latency)
+        self.completions.append(
+            {
+                "request": request,
+                "tick": tick,
+                "digest": digest,
+                "degraded": degraded,
+                "cache_hit": cache_hit,
+            }
+        )
 
     @property
     def shed_total(self) -> int:
@@ -79,6 +112,30 @@ class TenantStats:
             "p99_latency": _percentile(self.latencies, 0.99),
             "digest": self.digest(),
         }
+
+
+def fold_history(stats: Mapping[str, TenantStats], journal: bytes) -> None:
+    """Rebuild the report history from a verified journal prefix.
+
+    Appends, in journal order, one completion per ``complete`` line to
+    its tenant's stats: the history a run holds after writing exactly
+    ``journal``.
+    """
+    for line in journal.splitlines():
+        # Canonical JSON: every complete line holds this exact text.
+        if b'"kind":"complete"' not in line:
+            continue
+        entry = json.loads(line)
+        if entry["kind"] != "complete":
+            continue
+        stats[entry["tenant"]].record_completion(
+            entry["request"],
+            entry["tick"],
+            entry["latency"],
+            entry["digest"],
+            entry["degraded"],
+            entry["cache_hit"],
+        )
 
 
 @dataclass

@@ -5,8 +5,9 @@ generic encoding of the declared
 :class:`~repro.service.state.ArbiterState` — plus an *anchor* into the
 service journal: the byte length of the journal prefix written so far and the
 SHA-256 of exactly those bytes.  Recovery restores the newest snapshot
-whose anchor still matches the on-disk journal and re-executes from
-there, verifying every regenerated line against the journal tail.
+whose anchor still matches the on-disk journal, rebuilds the report
+history from that prefix, and re-executes from there, verifying every
+regenerated line against the journal tail.
 
 Snapshots are **sidecar** files under ``<journal>.snap/`` — they never
 appear in the journal itself, so journal digests are independent of the
@@ -43,8 +44,11 @@ __all__ = [
 #: then read as invalid and recovery falls back to full replay).  v2
 #: derives the ``state`` payload from the declared state dataclasses;
 #: v3 holds live state only (no request or record table, and the memo
-#: keeps ``[digest, total_cycles]`` per answer).
-SNAPSHOT_FORMAT = 3
+#: keeps ``[digest, total_cycles]`` per answer); v4 leaves out the
+#: report history (rebuilt from the journal prefix) and holds one
+#: pending arrival per request stream, so its size does not grow with
+#: the run.
+SNAPSHOT_FORMAT = 4
 
 #: Newest snapshots kept per journal; older ones are pruned on write.
 _SNAPSHOT_KEEP = 3

@@ -8,18 +8,27 @@ the backoff RNG, the answer memo, the fault count and the drain sets.
 Beside it the arbiter keeps only wiring (config, tenant specs, the
 request table, cache, tracer, metrics, journal, control schedule).
 
-The state is *live* state: the request table is re-derived from the
-run's inputs, a record leaves the state when its request completes, and
-the memo keeps each answer's digest and cycle count, not the result.
-History stays only where the report needs it (each tenant's
-``completions`` and ``latencies``).
+The state is *live* state: what the next decision needs, and nothing
+that grows with the run.  The request table is re-derived from the
+run's inputs, and the heap holds one pending arrival per request stream
+(the next one is pushed when it pops), not every future arrival.  A
+record leaves the state when its request completes, and the memo keeps
+each answer's digest and cycle count, not the result.
+
+History is not state.  Each tenant's ``completions`` and ``latencies``
+feed the report only; their fields are marked
+``metadata={"history": True}``, the codec skips them, and recovery
+rebuilds them from the ``complete`` lines of the journal prefix a
+snapshot anchors to (:func:`~repro.service.report.fold_history`).  So a
+snapshot's size does not grow with the run.
 
 A snapshot is therefore derived, not listed: :func:`encode_state` and
 :func:`decode_state` walk the *declared field types*, so a field added
 to any state dataclass is captured and restored with no codec edit.
 The rules, by declared type:
 
-* a dataclass becomes a dict of every field;
+* a dataclass becomes a dict of every field but its history fields
+  (decoding leaves those at their defaults);
 * JSON-native types — ``Any``, scalars, and lists or str-keyed dicts of
   them — pass through by reference (the answer memo is never copied);
 * other lists and fixed-length tuples become lists; sets become sorted
@@ -51,7 +60,7 @@ __all__ = [
     "decode_state",
 ]
 
-#: A heap entry: ``(tick, kind, push_seq, a, b)``.
+#: A heap entry: ``(tick, kind, order, a, b)``.
 _Event = Tuple[int, int, int, int, int]
 
 
@@ -67,6 +76,12 @@ class Clock:
     def push(self, tick: int, kind: int, a: int = -1, b: int = -1) -> None:
         self.push_seq += 1
         heapq.heappush(self.heap, (tick, kind, self.push_seq, a, b))
+
+    def push_arrival(self, tick: int, kind: int, seq: int, end: int) -> None:
+        """Schedule request ``seq`` of the stream that ends before seq
+        ``end``.  Arrivals at one tick pop in ``seq`` order, whenever
+        they were pushed."""
+        heapq.heappush(self.heap, (tick, kind, seq, seq, end))
 
 
 @dataclass
@@ -209,8 +224,13 @@ def _rng_decode(raw: List[Any]) -> random.Random:
 
 @functools.lru_cache(maxsize=None)
 def _field_hints(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """The declared ``(name, type)`` of every field but the history."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+    return tuple(
+        (f.name, hints[f.name])
+        for f in dataclasses.fields(cls)
+        if not f.metadata.get("history")
+    )
 
 
 @functools.lru_cache(maxsize=None)

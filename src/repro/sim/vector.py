@@ -23,10 +23,11 @@ as rarely as its inputs allow:
   depend only on the system class, the library, the processor and the
   dispatch memo key, so every simulator of a process shares them
   (:data:`_PREF_ROWS`);
-* **per (dispatch key, availability) pair, once per run** — the SI
-  dispatch.  A miss takes each SI's first row that fits the loaded
-  counts and unions the chosen rows into the ``(atom type, count)``
-  pairs the fabric's LRU touch needs.
+* **per (dispatch key, availability) pair, once per process** — the SI
+  dispatch, kept beside the key's rows in a map bounded by
+  :data:`_ENTRIES_PER_KEY`.  A miss takes each SI's first row that fits
+  the loaded counts and unions the chosen rows into the ``(atom type,
+  count)`` pairs the fabric's LRU touch needs.
 
 With a tracer attached the executor emits the span-level events —
 :class:`~repro.obs.events.SIUpgrade` whenever an SI's effective latency
@@ -73,13 +74,25 @@ _PrefRow = Tuple[Tuple[Tuple[int, int], ...], int, "MoleculeImpl"]
 #: One SI's preferences, best first; the last row needs no atoms.
 _PrefRows = Tuple[_PrefRow, ...]
 
-#: Every column's preference rows by ``(system class, id(library),
-#: processor, dispatch memo key)``, shared by every simulator of the
-#: process.  Each entry holds its library, so the ``id()`` key can never
-#: alias a recycled object.  The fig7 sweep needs 56 keys, 53 of them
-#: Molen's (one per set of chosen implementations); the bound caps what
-#: a process that builds many libraries (a test run) pins.
-_PREF_ROWS: LruMemo[Tuple["SILibrary", Tuple[_PrefRows, ...]]] = LruMemo(256)
+#: One dispatch key's entries by loaded counts.
+_Entries = Dict[Tuple[int, ...], _DispatchEntry]
+
+#: Every column's preference rows and dispatch entries by ``(system
+#: class, id(library), processor, dispatch memo key)``, shared by every
+#: simulator of the process.  Each entry holds its library, so the
+#: ``id()`` key can never alias a recycled object.  The fig7 sweep needs
+#: 56 keys, 53 of them Molen's (one per set of chosen implementations);
+#: the bound caps what a process that builds many libraries (a test
+#: run) pins.
+_PREF_ROWS: LruMemo[Tuple["SILibrary", Tuple[_PrefRows, ...], _Entries]] = (
+    LruMemo(256)
+)
+
+#: Bound of one dispatch key's entry map; the oldest entry goes first.
+#: The fig7 sweep meets 5,312 (key, availability) pairs, up to 1,727 on
+#: one key; with this bound it dispatches 5,495 times (8,045 with maps
+#: that lived for one run) and its peak RSS does not move.
+_ENTRIES_PER_KEY = 256
 
 
 class _TraceArrays:
@@ -120,18 +133,14 @@ class VectorExecutor:
     """Span-exact replay of one run's traces.
 
     One executor lives for one :meth:`SystemSimulator.run` call; its
-    dispatch memo persists across traces (dispatch depends only on the
-    memo key and the fabric content, which recur heavily across
-    frames).
+    dispatch entries live in the process-wide :data:`_PREF_ROWS`
+    (dispatch depends only on the memo key and the fabric content,
+    which recur heavily across frames and runs).
     """
 
     def __init__(self, sim: "SystemSimulator") -> None:
         self._sim = sim
         self._names = sim.library.space.names
-        # Two-level memo: dispatch key -> availability -> entry.  The
-        # outer lookup happens once per trace replay, so the per-span
-        # cost is one small-tuple hash.
-        self._memo: Dict[object, Dict[Tuple[int, ...], _DispatchEntry]] = {}
         # The latency last reported per SI and the degraded flag last
         # reported: latency and degraded events report changes only,
         # across the whole run.
@@ -171,17 +180,20 @@ class VectorExecutor:
             columns.append(tuple(rows))
         return tuple(columns)
 
-    def _shared_rows(
+    def _shared_dispatch(
         self, trace: HotSpotTrace, context: object, memo_key: object
-    ) -> Tuple[_PrefRows, ...]:
-        """:meth:`_pref_rows`, built once per process and dispatch key."""
+    ) -> Tuple[Tuple[_PrefRows, ...], _Entries]:
+        """:meth:`_pref_rows` and the dispatch key's entry map, both
+        built once per process and dispatch key.  The outer lookup
+        happens once per trace replay, so the per-span cost is one
+        small-tuple hash."""
         sim = self._sim
         key = (type(sim), id(sim.library), sim.processor, memo_key)
         held = _PREF_ROWS.lookup(key)
         if held is None:
-            held = (sim.library, self._pref_rows(trace, context))
+            held = (sim.library, self._pref_rows(trace, context), {})
             _PREF_ROWS.store(key, held)
-        return held[1]
+        return held[1], held[2]
 
     def _dispatch(
         self, columns: Tuple[_PrefRows, ...], avail_counts: Tuple[int, ...]
@@ -233,13 +245,12 @@ class VectorExecutor:
         iterations = trace.iterations
         arrays = _TraceArrays(trace)
         memo_key = sim._dispatch_memo_key(trace, context)
-        memo: Dict[Tuple[int, ...], _DispatchEntry]
+        memo: _Entries
         if memo_key is None:
             columns = self._pref_rows(trace, context)
             memo = {}
         else:
-            columns = self._shared_rows(trace, context, memo_key)
-            memo = self._memo.setdefault(memo_key, {})
+            columns, memo = self._shared_dispatch(trace, context, memo_key)
         # The fabric bumps ``_loaded_ver`` on every loaded-set edge, so it
         # is an exact version stamp for the loaded-counts snapshot.
         avail_ver = None
@@ -252,6 +263,8 @@ class VectorExecutor:
                 avail_counts = tuple(fabric._avail_counts)
             entry = memo.get(avail_counts)
             if entry is None:
+                if len(memo) >= _ENTRIES_PER_KEY:
+                    del memo[next(iter(memo))]
                 entry = memo[avail_counts] = self._dispatch(
                     columns, avail_counts
                 )

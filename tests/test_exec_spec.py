@@ -56,6 +56,35 @@ class TestWorkloadSpec:
         assert len(workload) == 2
         assert all(t.hot_spot == "ME" for t in workload)
 
+    @pytest.mark.parametrize("seed", [2008, 5])
+    @pytest.mark.parametrize(
+        "hot_spots", [None, ("ME",), ("LF", "ME"), ("EE", "LF"), ("LF",)]
+    )
+    def test_max_traces_builds_only_what_it_keeps(self, seed, hot_spots):
+        from repro.workload.model import H264WorkloadModel
+
+        full = H264WorkloadModel(num_frames=3, seed=seed).generate()
+        for max_traces in range(1, 5):
+            spec = WorkloadSpec(
+                frames=3, seed=seed, hot_spots=hot_spots, max_traces=max_traces
+            )
+            expected = [
+                t
+                for t in full.traces
+                if hot_spots is None or t.hot_spot in hot_spots
+            ][:max_traces]
+            got = spec.build().traces
+            assert [
+                (t.hot_spot, t.si_names, t.frame_index, t.overhead_per_iteration)
+                for t in got
+            ] == [
+                (t.hot_spot, t.si_names, t.frame_index, t.overhead_per_iteration)
+                for t in expected
+            ]
+            assert [t.counts.tobytes() for t in got] == [
+                t.counts.tobytes() for t in expected
+            ]
+
     def test_rejects_zero_frames(self):
         with pytest.raises(SimulationError):
             WorkloadSpec(frames=0)

@@ -1,10 +1,11 @@
-"""Dispatch preference rows, built once per process.
+"""Dispatch preference rows and entries, built once per process.
 
-The span executor keeps each dispatch key's sparse preference rows in a
-process-wide memo keyed by system class, library identity, processor and
-dispatch memo key.  These tests pin that the memo serves exactly what
-``_pref_rows`` would build fresh, that libraries and processors never
-share rows, and that the memo stays bounded.
+The span executor keeps each dispatch key's sparse preference rows, and
+its map from loaded counts to dispatch entries, in a process-wide memo
+keyed by system class, library identity, processor and dispatch memo
+key.  These tests pin that the memo serves exactly what ``_pref_rows``
+and ``_dispatch`` would build fresh, that libraries and processors never
+share rows, and that the memo and each entry map stay bounded.
 """
 
 from __future__ import annotations
@@ -70,22 +71,22 @@ def toy_rows(library: SILibrary, processor: BaseProcessor = BaseProcessor()):
     trace = HotSpotTrace("H", ("X", "Y"), np.ones((2, 2), dtype=np.int64))
     context = sim._plan(trace, TOY.zero())[2]
     memo_key = sim._dispatch_memo_key(trace, context)
-    return VectorExecutor(sim)._shared_rows(trace, context, memo_key)
+    return VectorExecutor(sim)._shared_dispatch(trace, context, memo_key)[0]
 
 
 class TestProcessWideRows:
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_served_rows_equal_fresh_rows(self, monkeypatch, name):
         served = []
-        shared_rows = VectorExecutor._shared_rows
+        shared_dispatch = VectorExecutor._shared_dispatch
 
         def checked(self, trace, context, memo_key):
-            rows = shared_rows(self, trace, context, memo_key)
+            rows, entries = shared_dispatch(self, trace, context, memo_key)
             assert rows == self._pref_rows(trace, context)
             served.append(rows)
-            return rows
+            return rows, entries
 
-        monkeypatch.setattr(VectorExecutor, "_shared_rows", checked)
+        monkeypatch.setattr(VectorExecutor, "_shared_dispatch", checked)
         first = SYSTEMS[name]().run(WORKLOAD)
         second = SYSTEMS[name]().run(WORKLOAD)
         assert first == second
@@ -137,3 +138,47 @@ class TestProcessWideRows:
         for trap in range(memo.maxsize + 8):
             toy_rows(library, BaseProcessor(trap_overhead=trap))
         assert len(memo) <= memo.maxsize
+
+
+class TestProcessWideEntries:
+    def held_entries(self):
+        """``(executor, rows, entries)`` of every h264 dispatch key."""
+        sim = SYSTEMS["HEF@8"]()
+        return [
+            (VectorExecutor(sim), rows, entries)
+            for library, rows, entries in vector._PREF_ROWS.values()
+            if library is LIBRARY
+        ]
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_served_entries_equal_fresh_dispatch(self, name):
+        first = SYSTEMS[name]().run(WORKLOAD)
+        assert SYSTEMS[name]().run(WORKLOAD) == first
+        held = self.held_entries()
+        assert any(entries for _, _, entries in held)
+        for executor, rows, entries in held:
+            for avail, entry in entries.items():
+                assert entry == executor._dispatch(rows, avail)
+
+    def test_second_run_dispatches_nothing(self, monkeypatch):
+        SYSTEMS["HEF@8"]().run(WORKLOAD)
+        calls = []
+        dispatch = VectorExecutor._dispatch
+
+        def counted(self, columns, avail_counts):
+            calls.append(avail_counts)
+            return dispatch(self, columns, avail_counts)
+
+        monkeypatch.setattr(VectorExecutor, "_dispatch", counted)
+        SYSTEMS["HEF@8"]().run(WORKLOAD)
+        assert calls == []
+
+    def test_entry_maps_stay_within_their_bound(self, monkeypatch):
+        unbounded = SYSTEMS["HEF@8"]().run(WORKLOAD)
+        vector._PREF_ROWS.clear()
+        monkeypatch.setattr(vector, "_ENTRIES_PER_KEY", 2)
+        assert SYSTEMS["HEF@8"]().run(WORKLOAD) == unbounded
+        held = self.held_entries()
+        assert held
+        assert all(len(entries) <= 2 for _, _, entries in held)
+        assert any(len(entries) == 2 for _, _, entries in held)

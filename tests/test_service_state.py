@@ -1,15 +1,18 @@
 """The arbiter's declared run state and its derived snapshot codec.
 
-Three guarantees: every field of every state dataclass survives the
-snapshot round trip (and a field added later needs no codec edit); the
-arbiter keeps no mutable attribute outside the declared state; and a
-crash at a random tick under a random live-reconfiguration schedule
-recovers to the uninterrupted run's exact journal bytes and report.
+Four guarantees: every field of every state dataclass but the report
+history survives the snapshot round trip (and a field added later needs
+no codec edit); the history folded from a snapshot's journal prefix is
+the live history; the arbiter keeps no mutable attribute outside the
+declared state; and a crash at a random tick under a random
+live-reconfiguration schedule recovers to the uninterrupted run's exact
+journal bytes and report.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import random
 import tempfile
@@ -23,12 +26,15 @@ from hypothesis import strategies as st
 
 from repro.errors import ServiceCrash
 from repro.exec.cache import canonical_json
+from repro.obs import RecordingTracer
+from repro.obs.events import ServiceRecovered
 from repro.obs.tracer import NULL_TRACER
 from repro.service import (
     ControlEvent,
     RequestRecord,
     ServiceConfig,
     derive_join_tenant,
+    list_snapshots,
     make_tenant_fleet,
     recover_service,
     run_service,
@@ -36,6 +42,7 @@ from repro.service import (
 from repro.service import arbiter as arbiter_module
 from repro.service.arbiter import _Arbiter, _ServiceJournal
 from repro.service.snapshot import SNAPSHOT_FORMAT
+from repro.service.report import TenantStats, fold_history
 from repro.service.state import (
     ArbiterState,
     Clock,
@@ -99,7 +106,31 @@ def _round_trip(state: Any) -> Any:
     return decoded
 
 
-def _assert_same_state(decoded: Any, original: Any) -> None:
+def _restorable(value: Any) -> Any:
+    """``value`` as a snapshot restores it: every history field (one
+    marked ``metadata={"history": True}``) back at its default."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.replace(
+            value,
+            **{
+                f.name: (
+                    f.default_factory()
+                    if f.metadata.get("history")
+                    else _restorable(getattr(value, f.name))
+                )
+                for f in dataclasses.fields(value)
+                if f.init
+            },
+        )
+    if isinstance(value, dict):
+        return {key: _restorable(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_restorable(item) for item in value]
+    return value
+
+
+def _assert_same_state(decoded: Any, populated: Any) -> None:
+    original = _restorable(populated)
     for f in dataclasses.fields(original):
         got, want = getattr(decoded, f.name), getattr(original, f.name)
         if isinstance(want, random.Random):
@@ -111,7 +142,20 @@ def _assert_same_state(decoded: Any, original: Any) -> None:
 class TestStateCodec:
     def test_every_field_round_trips(self):
         state = _populated(ArbiterState)
+        assert all(s.completions and s.latencies for s in state.stats.values())
         _assert_same_state(_round_trip(state), state)
+
+    def test_history_fields_are_not_encoded(self):
+        doc = encode_state(_populated(ArbiterState))
+        live = {
+            f.name
+            for f in dataclasses.fields(TenantStats)
+            if not f.metadata.get("history")
+        }
+        assert live and {"latencies", "completions"}.isdisjoint(live)
+        assert doc["stats"]
+        for raw in doc["stats"].values():
+            assert set(raw) == live
 
     def test_every_dataclass_is_written_field_for_field(self):
         doc = encode_state(_populated(ArbiterState))
@@ -144,6 +188,7 @@ class TestStateCodec:
         state = _populated(extended)
         assert state.extra_set and state.extra_pair and state.extra_records
         _assert_same_state(_round_trip(state), state)
+        assert "completions" not in encode_state(state)["stats"]["k0"]
 
     def test_sets_are_written_sorted(self):
         state = _populated(ArbiterState)
@@ -185,6 +230,7 @@ WIRING = {
     "journal",
     "controls",
     "fingerprint",
+    "streams",
     "admission",
     "_crash_at",
     "_crash_mode",
@@ -251,46 +297,86 @@ def _journal_live(prefix: bytes) -> Set[str]:
     return live
 
 
-@pytest.fixture(scope="module")
-def snapshotted_soak(tmp_path_factory):
-    """A journalled soak with a tenant join, and every snapshot it wrote."""
+def _join(tick: int) -> ControlEvent:
+    return ControlEvent(
+        tick=tick,
+        action="tenant_join",
+        name="latecomer",
+        spec=derive_join_tenant("latecomer", SOAK["seed"]),
+    )
+
+
+#: Join, drain, grow and shrink inside one :data:`SOAK` run.
+RECONFIG = [
+    _join(300),
+    ControlEvent(tick=500, action="tenant_leave", name="tenant00"),
+    ControlEvent(tick=600, action="ac_add", count=2),
+    ControlEvent(tick=800, action="ac_remove", count=3),
+]
+
+#: One tenant's report history: ``(latencies, completions)``.
+History = Dict[str, Tuple[List[int], List[Dict[str, Any]]]]
+
+
+def _history(stats: Dict[str, Any]) -> History:
+    return {
+        name: (list(s.latencies), [dict(c) for c in s.completions])
+        for name, s in stats.items()
+    }
+
+
+def _snapshotted(tmp_path_factory, events: List[ControlEvent]) -> Any:
+    """A journalled run, every snapshot it wrote, and the live report
+    history at each of them."""
     written: List[Dict[str, Any]] = []
+    live: List[History] = []
     real = arbiter_module.write_snapshot
+    real_method = _Arbiter._write_snapshot
 
     def capture(path, state, **kwargs):
         written.append(json.loads(canonical_json(state)))
         return real(path, state, **kwargs)
 
+    def capture_live(self, now):
+        live.append(_history(self.state.stats))
+        return real_method(self, now)
+
     journal = tmp_path_factory.mktemp("soak") / "soak.jsonl"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arbiter_module, "write_snapshot", capture)
+        patch.setattr(_Arbiter, "_write_snapshot", capture_live)
         report = run_service(
             fleet(),
             ServiceConfig(**SOAK, snapshot_every=100),
             journal_path=journal,
-            control_events=[
-                ControlEvent(
-                    tick=300,
-                    action="tenant_join",
-                    name="latecomer",
-                    spec=derive_join_tenant("latecomer", SOAK["seed"]),
-                )
-            ],
+            control_events=events,
         )
-    return report, journal.read_bytes(), written
+    return report, journal.read_bytes(), written, live
+
+
+@pytest.fixture(scope="module")
+def snapshotted_soak(tmp_path_factory):
+    """A journalled soak with a tenant join, and every snapshot it wrote."""
+    return _snapshotted(tmp_path_factory, [_join(300)])
+
+
+@pytest.fixture(scope="module")
+def snapshotted_reconfig(tmp_path_factory):
+    """The soak under a join, drain, grow and shrink schedule."""
+    return _snapshotted(tmp_path_factory, RECONFIG)
 
 
 class TestLiveSnapshots:
     def test_snapshots_hold_no_request_or_record_table(self, snapshotted_soak):
-        _, _, written = snapshotted_soak
+        _, _, written, _ = snapshotted_soak
         assert len(written) >= 10
         for snapshot in written:
-            assert snapshot["format"] == SNAPSHOT_FORMAT == 3
+            assert snapshot["format"] == SNAPSHOT_FORMAT == 4
             assert "requests" not in snapshot["state"]
             assert "records" not in snapshot["state"]
 
     def test_records_are_exactly_the_live_ones(self, snapshotted_soak):
-        _, journal, written = snapshotted_soak
+        _, journal, written, _ = snapshotted_soak
         for snapshot in written:
             state = snapshot["state"]
             queued = [r["request"]["request_id"] for r in state["queue"]]
@@ -302,7 +388,7 @@ class TestLiveSnapshots:
             assert set(queued + running) == live
 
     def test_memo_values_are_digest_and_cycles(self, snapshotted_soak):
-        report, _, written = snapshotted_soak
+        report, _, written, _ = snapshotted_soak
         served = {
             c["digest"]
             for stats in report.tenants.values()
@@ -314,6 +400,122 @@ class TestLiveSnapshots:
             assert isinstance(digest, str) and len(digest) == 16
             assert isinstance(cycles, int) and cycles > 0
         assert {digest for digest, _ in memo.values()} <= served
+
+    @pytest.mark.parametrize(
+        "fixture", ["snapshotted_soak", "snapshotted_reconfig"]
+    )
+    def test_heap_holds_one_arrival_per_stream(self, request, fixture):
+        _, _, written, _ = request.getfixturevalue(fixture)
+        arrival = arbiter_module._ARRIVAL
+        pending = []
+        for snapshot in written:
+            arrivals = [
+                entry
+                for entry in snapshot["state"]["clock"]["heap"]
+                if entry[1] == arrival
+            ]
+            # ``(tick, kind, seq, seq, stream end)``: fleet plus joiner.
+            ends = [entry[4] for entry in arrivals]
+            assert len(arrivals) == len(set(ends))
+            assert all(entry[2] == entry[3] < entry[4] for entry in arrivals)
+            pending.append(len(arrivals))
+        assert max(pending) == 2
+
+
+def test_same_tick_arrivals_pop_in_seq_order():
+    clock = Clock()
+    clock.push_arrival(10, 3, 5, 9)  # pushed first, later in the table
+    clock.push_arrival(10, 3, 2, 4)
+    clock.push(10, 2)
+    assert [heapq.heappop(clock.heap)[2:4] for _ in range(3)] == [
+        (1, -1),
+        (2, 2),
+        (5, 5),
+    ]
+
+
+def test_arrivals_are_served_in_seq_order_across_streams(tmp_path):
+    """A dense joiner's arrival is pushed before the fleet's arrival of
+    the same tick, and is still served after it."""
+    joiner = derive_join_tenant("latecomer", SOAK["seed"], mean_gap=5)
+    path = tmp_path / "dense.jsonl"
+    journal = _ServiceJournal(path)
+    arbiter = _Arbiter(
+        tenants=make_tenant_fleet(FLEET_SIZE, mean_gap=6, deadline_slack=400),
+        config=ServiceConfig(num_acs=6, duration=400, seed=SOAK["seed"]),
+        cache=None,
+        tracer=NULL_TRACER,
+        metrics=None,
+        journal=journal,
+        control_events=[
+            ControlEvent(tick=20, action="tenant_join", name="latecomer", spec=joiner)
+        ],
+    )
+    arbiter.run()
+    journal.close()
+    seq = {r.request_id: r.seq for r in arbiter.requests}
+    served: Dict[int, List[int]] = {}
+    for line in path.read_text().splitlines():
+        entry = json.loads(line)
+        if entry["kind"] in ("admit", "hit", "shed"):
+            served.setdefault(entry["tick"], []).append(seq[entry["request"]])
+    assert all(seqs == sorted(seqs) for seqs in served.values())
+    joined = arbiter.streams[0]
+    assert any(
+        any(s in joined for s in seqs) and any(s not in joined for s in seqs)
+        for seqs in served.values()
+    )
+
+
+# -- history is not state ----------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", ["snapshotted_soak", "snapshotted_reconfig"])
+def test_folded_journal_prefix_is_the_live_history(request, fixture):
+    report, journal, written, live = request.getfixturevalue(fixture)
+    assert len(written) == len(live) >= 10
+    for snapshot, history in zip(written, live):
+        state = decode_state(snapshot["state"])
+        assert not any(s.completions or s.latencies for s in state.stats.values())
+        fold_history(state.stats, journal[: snapshot["journal_offset"]])
+        assert _history(state.stats) == history
+    assert any(any(lat for lat, _ in h.values()) for h in live)
+    final = decode_state(written[-1]["state"])
+    fold_history(final.stats, journal)
+    assert _history(final.stats) == _history(report.tenants)
+
+
+def test_format_3_snapshots_fall_back_to_replay(tmp_path):
+    """Format 3 held the report history and every future arrival;
+    format 4 does not, so a format-3 snapshot is skipped, never
+    half-restored."""
+    config = ServiceConfig(**SOAK, snapshot_every=100)
+    reference = run_service(
+        fleet(), config, journal_path=tmp_path / "ref.jsonl"
+    )
+    journal = tmp_path / "crash.jsonl"
+    with pytest.raises(ServiceCrash):
+        run_service(
+            fleet(),
+            config,
+            journal_path=journal,
+            crash_at_tick=900,
+            crash_mode="raise",
+        )
+    snapshots = list_snapshots(journal)
+    assert snapshots
+    for snap in snapshots:
+        doc = json.loads(snap.read_text())
+        doc["format"] = 3
+        snap.write_text(json.dumps(doc))
+    tracer = RecordingTracer()
+    report = recover_service(
+        fleet(), config, journal_path=journal, tracer=tracer
+    )
+    (recovered,) = [e for e in tracer if isinstance(e, ServiceRecovered)]
+    assert recovered.source == "replay"
+    assert journal.read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+    assert report.to_json_dict() == reference.to_json_dict()
 
 
 def test_stale_completion_of_preempted_dispatch_is_ignored():
