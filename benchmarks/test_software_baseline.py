@@ -2,8 +2,12 @@
 
 The paper reports 7,403 M cycles for encoding 140 CIF frames on the
 base processor alone.  The workload model and trap latencies are
-calibrated to land within 1% of that number at full scale; at reduced
-REPRO_FRAMES the per-frame figure is checked instead.
+calibrated to land within 1% of that number, and the anchor is checked
+on the full 140-frame run whatever ``REPRO_FRAMES`` says: the first
+frames of the calibrated workload cost more than the 140-frame average
+(the first 8 frames average 54.5 M against 52.9 M), so a per-frame
+figure at reduced scale would not compare like with like.  The timed
+run uses ``REPRO_FRAMES`` as every other benchmark does.
 """
 
 from repro import generate_workload, simulate_software
@@ -17,11 +21,19 @@ def test_software_baseline_calibration(benchmark, platform, scale):
         simulate_software, args=(library, workload), rounds=1,
         iterations=1,
     )
-    per_frame = result.total_mcycles / scale.frames
-    paper_per_frame = SOFTWARE_TOTAL_MCYCLES / NUM_FRAMES
+    full = (
+        result
+        if scale.frames == NUM_FRAMES
+        else simulate_software(
+            library, generate_workload(num_frames=NUM_FRAMES)
+        )
+    )
     print(
         f"\nsoftware: {result.total_mcycles:,.0f} M over {scale.frames} "
-        f"frames = {per_frame:.2f} M/frame "
-        f"(paper: {paper_per_frame:.2f} M/frame, 7,403 M total)"
+        f"frames, {full.total_mcycles:,.2f} M over {NUM_FRAMES} frames "
+        f"(paper: {SOFTWARE_TOTAL_MCYCLES:,} M)"
     )
-    assert abs(per_frame - paper_per_frame) < 0.02 * paper_per_frame
+    assert (
+        abs(full.total_mcycles - SOFTWARE_TOTAL_MCYCLES)
+        < 0.01 * SOFTWARE_TOTAL_MCYCLES
+    )

@@ -48,7 +48,7 @@ class AtomSpace:
         non-empty.
     """
 
-    __slots__ = ("_names", "_index")
+    __slots__ = ("_names", "_index", "_zero")
 
     def __init__(self, atom_names: Sequence[str]) -> None:
         names = tuple(atom_names)
@@ -60,6 +60,8 @@ class AtomSpace:
             raise InvalidMoleculeError("atom-type names must be non-empty strings")
         self._names: Tuple[str, ...] = names
         self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
+        #: Molecules are immutable, so one zero serves every caller.
+        self._zero = Molecule._make(self, (0,) * len(names))
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -115,9 +117,10 @@ class AtomSpace:
         """The neutral element of ``∪``: the all-zero molecule.
 
         This is also how the paper models the pure-software implementation
-        of an SI — it needs no atoms at all.
+        of an SI — it needs no atoms at all.  Every call returns the
+        same (immutable) instance.
         """
-        return Molecule(self, (0,) * self.size)
+        return self._zero
 
     #: Stand-in for the paper's "maxInt" components of the top molecule.
     MAXINT = 2 ** 30

@@ -46,7 +46,8 @@ from ..errors import SelectionError, UnknownSpecialInstructionError
 from .molecule import Molecule
 from .monitor import ExecutionMonitor
 from .schedule import Schedule, validate_schedule
-from .scoring import LruMemo, fast_schedule, select_molecules_fast
+from .memo import LruMemo
+from .scoring import fast_schedule, select_molecules_fast
 
 if TYPE_CHECKING:  # annotation-only: keeps core below the schedulers
     from .schedulers.base import AtomScheduler

@@ -221,6 +221,15 @@ class AtomScheduler(ABC):
     def _run(self, state: SchedulerState) -> None:
         """Schedule molecule upgrade steps via ``state.commit``."""
 
+    def reset(self) -> None:
+        """Restore the state of a fresh instance (start of a run).
+
+        Configuration-free strategies have nothing to restore; one that
+        carries state from schedule to schedule (the RANDOM baseline's
+        generator) overrides this, so that repeated simulator runs
+        reproduce a fresh simulator's run.
+        """
+
     def plan_key(self) -> Optional[Hashable]:
         """This scheduler's part of the Run-Time Manager's plan-memo key.
 

@@ -34,9 +34,13 @@ class RandomScheduler(AtomScheduler):
         return None
 
     def reseed(self, seed: int) -> None:
-        """Reset the generator (e.g. between simulator runs)."""
+        """Restart the generator from a new seed."""
         self.seed = int(seed)
-        self._rng = random.Random(self.seed)
+        self.reset()
+
+    def reset(self) -> None:
+        """Rewind the generator to its seed (between simulator runs)."""
+        self._rng.seed(self.seed)
 
     def _run(self, state: SchedulerState) -> None:
         while True:

@@ -53,7 +53,6 @@ reference *selection* ratio, which lives outside that scope in
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import (
     Any,
     Callable,
@@ -72,6 +71,7 @@ from ..errors import (
     SelectionError,
     UnknownSpecialInstructionError,
 )
+from .memo import LruMemo
 from .molecule import Molecule
 from .schedule import Schedule
 from .schedulers.base import AtomScheduler, SchedulerState
@@ -90,29 +90,6 @@ _V = TypeVar("_V")
 
 #: A molecule's non-zero ``(position, count)`` pairs, in position order.
 _Sparse = Tuple[Tuple[int, int], ...]
-
-
-class LruMemo(OrderedDict[Hashable, _V]):
-    """A dict that keeps at most ``maxsize`` entries, evicting the least
-    recently used.  Process-wide memos of :mod:`repro.core` use it; they
-    only ever change speed, never a result.  Not synchronised: the
-    package plans on one thread per process."""
-
-    def __init__(self, maxsize: int) -> None:
-        super().__init__()
-        self.maxsize = maxsize
-
-    def lookup(self, key: Hashable) -> Optional[_V]:
-        """The stored value (now most recently used), or ``None``."""
-        value = self.get(key)
-        if value is not None:
-            self.move_to_end(key)
-        return value
-
-    def store(self, key: Hashable, value: _V) -> None:
-        self[key] = value
-        if len(self) > self.maxsize:
-            self.popitem(last=False)
 
 
 #: The static selection/schedule tables of every SI set and selection

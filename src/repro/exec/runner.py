@@ -7,12 +7,17 @@ dispatch), measures per-cell wall time, and consults an optional
 re-simulated.
 
 Determinism contract: a cell is a *pure function* of its configuration.
-Every worker builds its own workload and simulator from the cell alone
-(no state crosses process boundaries besides the cell itself), over the
-process's frozen :func:`~repro.h264.silibrary.h264_platform`, and all
-models are seed-driven — so a parallel run is
-bit-identical to a serial run, and both are bit-identical to a cache
-replay.  ``tests/test_exec_determinism.py`` pins this down.
+Every worker builds its own workload from the cell alone (no state
+crosses process boundaries besides the cell itself), over the process's
+frozen :func:`~repro.h264.silibrary.h264_platform`, and all models are
+seed-driven.  The simulator comes from a small per-process pool keyed
+by the cell's simulator fields (:func:`_simulator_key`); a pooled
+simulator starts every run with :meth:`~repro.sim.engine.SystemSimulator.reset`,
+after which it is observationally a fresh one, so which cells ran
+before in the same process cannot show in a result.  A parallel run is
+therefore bit-identical to a serial run, and both are bit-identical to
+a cache replay.  ``tests/test_exec_determinism.py`` and
+``tests/test_sim_pool.py`` pin this down.
 """
 
 from __future__ import annotations
@@ -35,7 +40,15 @@ from typing import (
     Union,
 )
 
+from ..core.memo import LruMemo
+from ..core.schedulers import get_scheduler
+from ..fabric.faults import BernoulliLoadFaults, RetryPolicy
+from ..h264.silibrary import h264_platform
+from ..sim.engine import SystemSimulator
+from ..sim.molen import MolenSimulator
 from ..sim.results import SimulationResult
+from ..sim.rispp import RisppSimulator
+from ..sim.software import simulate_software
 from .cache import ResultCache
 from .spec import SweepCell, SweepSpec
 
@@ -72,28 +85,36 @@ def cache_from_env() -> Optional[ResultCache]:
     return ResultCache(root) if root else None
 
 
-def execute_cell(
-    cell: SweepCell,
-    tracer: Optional["Tracer"] = None,
-    metrics: Optional["MetricsRegistry"] = None,
-) -> SimulationResult:
-    """Run one cell's simulation from scratch (no cache, no pool).
+#: Warm simulators by :func:`_simulator_key`, shared by every cell of
+#: the process.  The service's fleets need 6 keys (three schedulers at
+#: leases of 2 and 3 ACs); a sweep cell's key changes with its AC
+#: count, so a sweep mostly builds, and the bound caps what it keeps
+#: (each kept simulator holds its last run's monitor state).
+_SIMULATORS: LruMemo[SystemSimulator] = LruMemo(8)
 
-    ``tracer`` / ``metrics`` (see :mod:`repro.obs`) attach per-cell
-    instrumentation to the simulator; the ``Software`` baseline has no
-    fabric and ignores them.
-    """
-    from ..core.schedulers import get_scheduler
-    from ..fabric.faults import BernoulliLoadFaults, RetryPolicy
-    from ..h264.silibrary import h264_platform
-    from ..sim.molen import MolenSimulator
-    from ..sim.rispp import RisppSimulator
-    from ..sim.software import simulate_software
 
+def _simulator_key(cell: SweepCell) -> Tuple[Any, ...]:
+    """Every field of ``cell`` its simulator's construction reads."""
+    knobs = (
+        (cell.prefetch_confidence, cell.prefetch_budget)
+        if cell.scheduler == "PREFETCH"
+        else None
+    )
+    return (
+        cell.system,
+        cell.scheduler,
+        knobs,
+        cell.num_acs,
+        cell.record_segments,
+        cell.fault_rate,
+        cell.fault_seed,
+        cell.max_retries,
+    )
+
+
+def _build_simulator(cell: SweepCell) -> SystemSimulator:
+    """A new simulator for ``cell``'s simulator fields."""
     registry, library = h264_platform()
-    workload = cell.workload.build()
-    if cell.system == "Software":
-        return simulate_software(library, workload)
     fault_model = None
     if cell.fault_rate > 0.0:
         fault_model = BernoulliLoadFaults(
@@ -107,7 +128,7 @@ def execute_cell(
                 "confidence": cell.prefetch_confidence,
                 "budget": cell.prefetch_budget,
             }
-        sim = RisppSimulator(
+        return RisppSimulator(
             library,
             registry,
             get_scheduler(cell.scheduler, **scheduler_kwargs),
@@ -115,21 +136,43 @@ def execute_cell(
             record_segments=cell.record_segments,
             fault_model=fault_model,
             retry_policy=retry_policy,
-            tracer=tracer,
-            metrics=metrics,
         )
-    else:  # Molen
-        sim = MolenSimulator(
-            library,
-            registry,
-            cell.num_acs,
-            record_segments=cell.record_segments,
-            fault_model=fault_model,
-            retry_policy=retry_policy,
-            tracer=tracer,
-            metrics=metrics,
-        )
-    return sim.run(workload)
+    return MolenSimulator(
+        library,
+        registry,
+        cell.num_acs,
+        record_segments=cell.record_segments,
+        fault_model=fault_model,
+        retry_policy=retry_policy,
+    )
+
+
+def execute_cell(
+    cell: SweepCell,
+    tracer: Optional["Tracer"] = None,
+    metrics: Optional["MetricsRegistry"] = None,
+) -> SimulationResult:
+    """Run one cell's simulation (no cache, no process pool).
+
+    The simulator comes warm from the process's pool and starts from
+    its reset, so the result equals a freshly built simulator's.
+    ``tracer`` / ``metrics`` (see :mod:`repro.obs`) are attached for
+    this run only and detached afterwards; the ``Software`` baseline
+    has no fabric and ignores them.
+    """
+    workload = cell.workload.build()
+    if cell.system == "Software":
+        return simulate_software(h264_platform()[1], workload)
+    key = _simulator_key(cell)
+    sim = _SIMULATORS.lookup(key)
+    if sim is None:
+        sim = _build_simulator(cell)
+        _SIMULATORS.store(key, sim)
+    sim.attach(tracer, metrics)
+    try:
+        return sim.run(workload)
+    finally:
+        sim.attach()
 
 
 def _timed_execute(cell: SweepCell) -> Tuple[Dict[str, Any], float]:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..workload.trace import HotSpotTrace, Workload
+from ..h264.silibrary import HOT_SPOT_ORDER
+from ..workload.adversarial import AdversarialWorkloadModel
+from ..workload.model import H264WorkloadModel
+from ..workload.trace import HotSpotTrace, Workload
 
 __all__ = ["WorkloadSpec", "SweepCell", "SweepSpec"]
 
@@ -76,15 +77,13 @@ class WorkloadSpec:
         if self.hot_spots is not None:
             object.__setattr__(self, "hot_spots", tuple(self.hot_spots))
 
-    def build(self) -> "Workload":
+    def build(self) -> Workload:
         """Generate (and filter) the workload this spec describes.
 
         Every call returns a fresh :class:`Workload`, but equal specs
         share their traces (:func:`_generate` keeps the last few);
         trace ``counts`` are read-only, so no run can change another's.
         """
-        from ..workload.trace import Workload
-
         name, traces = _generate(self)
         return Workload(name=name, traces=list(traces))
 
@@ -116,8 +115,6 @@ def _needed_hot_spots(spec: WorkloadSpec) -> Optional[Tuple[str, ...]]:
     needed.  The model's draws do not depend on the hot spots, so the
     traces are the same.
     """
-    from ..h264.silibrary import HOT_SPOT_ORDER
-
     if spec.max_traces is None:
         return spec.hot_spots
     kept = tuple(
@@ -131,27 +128,26 @@ def _needed_hot_spots(spec: WorkloadSpec) -> Optional[Tuple[str, ...]]:
 
 
 @functools.lru_cache(maxsize=4)
-def _generate(spec: WorkloadSpec) -> Tuple[str, Tuple["HotSpotTrace", ...]]:
+def _generate(spec: WorkloadSpec) -> Tuple[str, Tuple[HotSpotTrace, ...]]:
     """The name and traces of ``spec``'s workload, kept for the last few
     specs: a sweep builds the same workload once per cell."""
-    from ..workload.adversarial import AdversarialWorkloadModel
-    from ..workload.model import H264WorkloadModel
-
     if spec.generator == "adversarial":
         workload = AdversarialWorkloadModel(
             num_phases=spec.frames * 3,
             seed=spec.seed,
             flip_rate=spec.flip_rate,
         ).generate()
+        traces = workload.traces
+        if spec.hot_spots is not None:
+            traces = [t for t in traces if t.hot_spot in spec.hot_spots]
     else:
+        # The model builds only the kept hot spots' traces.
         workload = H264WorkloadModel(
             num_frames=spec.frames, seed=spec.seed
         ).generate(hot_spots=_needed_hot_spots(spec))
-    traces = list(workload.traces)
+        traces = workload.traces
     name = workload.name
     if spec.hot_spots is not None:
-        keep = set(spec.hot_spots)
-        traces = [t for t in traces if t.hot_spot in keep]
         name += "-" + "+".join(spec.hot_spots)
     if spec.max_traces is not None:
         traces = traces[: spec.max_traces]

@@ -65,6 +65,16 @@ class AtomContainer:
         #: state methods.
         self.owner: Optional["_ContainerOwner"] = None
 
+    def reset(self) -> None:
+        """Return to the state of a new container (a fresh board: a
+        dead container is repaired).  The owner is not notified; it
+        resets its own index alongside."""
+        self.state = ContainerState.EMPTY
+        self.atom_type = None
+        self.loaded_at = -1
+        self.last_used = -1
+        self.use_count = 0
+
     @property
     def is_empty(self) -> bool:
         return self.state is ContainerState.EMPTY

@@ -320,12 +320,14 @@ class Fabric:
                 container.use_count += 1
 
     def reset(self) -> None:
-        """Clear all containers (cold fabric)."""
+        """Clear all containers (cold fabric), in place.
+
+        The fabric keeps its container objects; each returns to the
+        state of a new one, and every index follows.  The version stamp
+        still moves on, so no availability snapshot outlives a reset.
+        """
         for container in self.containers:
-            container.owner = None
-        self.containers = [AtomContainer(i) for i in range(self.num_acs)]
-        for container in self.containers:
-            container.owner = self
+            container.reset()
         self._evictions = 0
         self._dead = 0
         self._loaded_groups = {}

@@ -143,19 +143,26 @@ class BernoulliLoadFaults(FaultModel):
             )
         self.rate = float(rate)
         self.seed = int(seed)
-        self._rng = random.Random(self.seed)
+        #: Seeded on the first draw: a run that never draws never pays
+        #: for seeding, and the stream is the same.
+        self._rng: Optional[random.Random] = None
 
     def check_load(
         self, atom_type: str, container_index: int, cycle: int
     ) -> Optional[LoadFault]:
         if self.rate == 0.0:
             return None
-        if self.rate >= 1.0 or self._rng.random() < self.rate:
+        if self.rate >= 1.0:
+            return LoadFault.TRANSIENT
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.seed)
+        if rng.random() < self.rate:
             return LoadFault.TRANSIENT
         return None
 
     def reset(self) -> None:
-        self._rng = random.Random(self.seed)
+        self._rng = None
 
     def __repr__(self) -> str:
         return (
@@ -278,7 +285,9 @@ class RetryPolicy:
         self.on_exhausted = on_exhausted
         self.jitter = float(jitter)
         self.seed = int(seed)
-        self._rng = random.Random(self.seed)
+        #: Seeded on the first jitter draw: a run without jitter (or
+        #: without a retry) never pays for seeding.
+        self._rng: Optional[random.Random] = None
 
     def allows_retry(self, failures: int) -> bool:
         """May a load that failed ``failures`` times be re-attempted?"""
@@ -287,19 +296,22 @@ class RetryPolicy:
     def delay(self, failures: int) -> int:
         """Backoff (in cycles) before the retry after failure number
         ``failures`` (1-based)."""
+        rng = self._rng
+        if rng is None and self.jitter > 0.0:
+            rng = self._rng = random.Random(self.seed)
         return int(
             backoff_delay(
                 self.backoff_cycles,
                 self.backoff_factor,
                 failures,
                 jitter=self.jitter,
-                rng=self._rng,
+                rng=rng,
             )
         )
 
     def reset(self) -> None:
         """Restore the initial jitter schedule (start of a fresh run)."""
-        self._rng = random.Random(self.seed)
+        self._rng = None
 
     def __repr__(self) -> str:
         return (

@@ -138,10 +138,16 @@ class ReconfigPort:
             retry_policy if retry_policy is not None else RetryPolicy()
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.reset()
+
+    def reset(self) -> None:
+        """Return to the state of a new port: idle, nothing queued,
+        every counter at zero.  The fabric, fault model and retry
+        policy are kept (their owner resets them)."""
         self._pending: Deque[str] = deque()
         #: The meta-molecule of atoms the active plan retains (eviction
         #: reference); updated on every :meth:`replace_queue`.
-        self._retained: Molecule = fabric.space.zero()
+        self._retained: Molecule = self.fabric.space.zero()
         self._in_flight: Optional[str] = None
         self._in_flight_container: Optional[int] = None
         self._in_flight_failures: int = 0

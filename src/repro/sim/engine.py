@@ -239,22 +239,35 @@ class SystemSimulator(ABC):
 
     # -- main loop -------------------------------------------------------------------
 
+    def attach(
+        self,
+        tracer: Optional[Tracer] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        """Point the simulator's instrumentation at ``tracer`` and
+        ``metrics``; ``None`` detaches (the no-op tracer, no metrics).
+
+        A simulator kept for many runs attaches a run's sinks before
+        the run and detaches them after it, so it never keeps them
+        alive.
+        """
+        tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = self.fabric.tracer = self.port.tracer = tracer
+        self.metrics = metrics
+
     def reset(self) -> None:
         """Cold-start the fabric, port and fault model (fresh run).
 
         Containers killed by permanent faults are repaired (a fresh run
         models a fresh board) and the fault model replays the identical
-        fault schedule, so repeated runs reproduce bit-for-bit.
+        fault schedule, so repeated runs reproduce bit-for-bit.  After a
+        reset the simulator is observationally a new one with the same
+        configuration; fabric and port are reset in place.
         """
         self.fabric.reset()
         self.fault_model.reset()
         self.retry_policy.reset()
-        self.port = ReconfigPort(
-            self.fabric,
-            fault_model=self.fault_model,
-            retry_policy=self.retry_policy,
-            tracer=self.tracer,
-        )
+        self.port.reset()
         self._degraded_cycles = 0
         self._prefetch_issued = 0
         self._prefetch_hits = 0

@@ -124,10 +124,12 @@ class RisppSimulator(SystemSimulator):
         )
 
     def reset(self) -> None:
-        """Cold-start fabric, port *and* the monitor's learned state, so
-        repeated :meth:`run` calls are independent and reproducible."""
+        """Cold-start fabric, port, the monitor's learned state, the
+        scheduler's own state and the speculation, so repeated
+        :meth:`run` calls are independent and reproducible."""
         super().reset()
         self.runtime.monitor.reset()
+        self.runtime.scheduler.reset()
         self._prev_hot_spot = None
         self._spec_predicted = None
         self._spec_confidence = 0.0

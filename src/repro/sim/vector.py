@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.scoring import LruMemo
+from ..core.memo import LruMemo
 from ..errors import SimulationError
 from ..obs.events import DegradedEnter, DegradedExit, SIUpgrade
 from ..workload.trace import HotSpotTrace

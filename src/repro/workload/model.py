@@ -26,8 +26,8 @@ intra prediction in EE; and strong-edge deblocking in LF.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Collection, Dict, Optional, Tuple
 
 import numpy as np
@@ -76,25 +76,44 @@ _ACTIVITY_SCALED: Tuple[str, ...] = ("SAD", "SATD", "MC", "LF_BS4")
 #: motion compensation and does twice the DC intra prediction.
 _INTRA_FACTOR: Dict[str, float] = {"MC": 0.0, "IPredHDC": 2.0, "IPredVDC": 2.0}
 
-#: Every hot spot's SI columns side by side, in hot-spot order, so that
-#: :meth:`H264WorkloadModel.generate` computes all counts in one block:
-#: each column's base count, whether it scales with the activity, and
-#: its intra factor.
-_ALL_SIS: Tuple[str, ...] = tuple(
-    si for hot_spot in HOT_SPOT_ORDER for si in HOT_SPOT_SIS[hot_spot]
-)
-_BASE_ROW = np.array([_BASE_COUNTS[si] for si in _ALL_SIS])
-_SCALED_ROW = np.array([si in _ACTIVITY_SCALED for si in _ALL_SIS])
-_INTRA_ROW = np.array([_INTRA_FACTOR.get(si, 1.0) for si in _ALL_SIS])
 
-#: Each hot spot's columns of that block.
-_COLUMNS: Dict[str, slice] = {
-    hot_spot: slice(end - len(HOT_SPOT_SIS[hot_spot]), end)
-    for hot_spot, end in zip(
-        HOT_SPOT_ORDER,
-        accumulate(len(HOT_SPOT_SIS[hot_spot]) for hot_spot in HOT_SPOT_ORDER),
-    )
-}
+def _counts(
+    si_names: Tuple[str, ...],
+    activity: np.ndarray,
+    intra: Optional[np.ndarray],
+) -> np.ndarray:
+    """The (frames, macroblocks, SIs) count block of one hot spot.
+
+    Column by column: each SI's base count, scaled by the activity if
+    it scales, and multiplied by its intra factor on intra-coded
+    macroblocks (``intra`` is drawn whenever a kept SI has such a
+    factor); then all columns are rounded at once.  The activity is
+    positive and no base count or factor is negative, so no count is.
+    """
+    values = np.empty(activity.shape + (len(si_names),))
+    for col, si_name in enumerate(si_names):
+        column = values[..., col]
+        base = _BASE_COUNTS[si_name]
+        if si_name in _ACTIVITY_SCALED:
+            np.multiply(activity, base, out=column)
+        else:
+            column[...] = base
+        factor = _INTRA_FACTOR.get(si_name)
+        if factor is not None:
+            np.multiply(column, factor, out=column, where=intra)
+    np.rint(values, out=values)
+    return values.astype(np.int64)
+
+
+@functools.lru_cache(maxsize=16)
+def _drift(num_frames: int) -> np.ndarray:
+    """The activity's temporal drift term, ``0.3 * sin(2π f / 48)`` per
+    frame ``f``, as a read-only ``(frames, 1)`` column."""
+    frames = np.arange(num_frames)[:, None]
+    drift = 0.3 * np.sin(2.0 * np.pi * frames / 48.0)
+    drift.flags.writeable = False
+    return drift
+
 
 #: The one generator every workload model of the process draws from,
 #: made on first use: importing ``numpy.random`` costs a process that
@@ -179,20 +198,25 @@ class H264WorkloadModel:
         the spatial map mid-sequence.
         """
         n_mb = self.mbs_per_frame
-        amp = self.activity_amplitude
+        num_frames = self.num_frames
         # Both spatial maps, then the noise, in stream order.
-        draws = rng.uniform(-1.0, 1.0, size=(self.num_frames + 2, n_mb))
+        draws = rng.uniform(-1.0, 1.0, size=(num_frames + 2, n_mb))
         spatial_a, spatial_b, noise = draws[0], draws[1], draws[2:]
-        frames = np.arange(self.num_frames)[:, None]
-        drift = np.sin(2.0 * np.pi * frames / 48.0)
-        spatial = np.where(
-            frames < self.scene_cut_frame if self.scene_cut_frame >= 0
-            else np.ones_like(frames, dtype=bool),
-            spatial_a[None, :],
-            spatial_b[None, :],
-        )
-        mix = 0.5 * spatial + 0.3 * drift + 0.2 * noise
-        return 1.0 + amp * mix
+        cut = self.scene_cut_frame
+        if cut < 0 or cut >= num_frames:
+            spatial = spatial_a
+        elif cut == 0:
+            spatial = spatial_b
+        else:
+            frames = np.arange(num_frames)[:, None]
+            spatial = np.where(frames < cut, spatial_a, spatial_b)
+        # 1 + A * (0.5 * spatial + drift + 0.2 * noise), in place.
+        mix = 0.5 * spatial + _drift(num_frames)
+        noise *= 0.2
+        mix += noise
+        mix *= self.activity_amplitude
+        mix += 1.0
+        return mix
 
     # -- generation ------------------------------------------------------------
 
@@ -205,25 +229,26 @@ class H264WorkloadModel:
         random draws do not depend on it, so every kept trace is
         byte-identical to the same trace of the full workload.
         """
+        kept = (
+            HOT_SPOT_ORDER
+            if hot_spots is None
+            else tuple(hs for hs in HOT_SPOT_ORDER if hs in hot_spots)
+        )
         rng = _seeded_rng(self.seed)
         activity = self._activity(rng)
-        # Intra-coded macroblocks skip motion compensation and do more
-        # intra prediction; the fraction rises with activity.  One draw
-        # of shape (frames, macroblocks) reads the same stream as one
-        # draw per frame.
-        intra = rng.uniform(size=activity.shape) < np.clip(
-            0.04 + 0.08 * (activity - 1.0), 0.0, 0.5
-        )
-        # Every count of every frame as one (frames, macroblocks, SIs)
-        # block, cut into one contiguous block per kept hot spot.
-        values = np.where(_SCALED_ROW, activity[..., None] * _BASE_ROW, _BASE_ROW)
-        values = np.where(intra[..., None], values * _INTRA_ROW, values)
-        counts = np.maximum(np.rint(values).astype(np.int64), 0)
-        blocks = {
-            hot_spot: np.ascontiguousarray(counts[..., columns])
-            for hot_spot, columns in _COLUMNS.items()
-            if hot_spots is None or hot_spot in hot_spots
-        }
+        intra = None
+        if any(si in _INTRA_FACTOR for hs in kept for si in HOT_SPOT_SIS[hs]):
+            # Intra-coded macroblocks skip motion compensation and do
+            # more intra prediction; the fraction rises with activity.
+            # One draw of shape (frames, macroblocks) reads the same
+            # stream as one draw per frame.  It is the last draw, so a
+            # build that keeps no intra-dependent SI skips it.
+            intra = rng.uniform(size=activity.shape) < np.clip(
+                0.04 + 0.08 * (activity - 1.0), 0.0, 0.5
+            )
+        # One (frames, macroblocks, SIs) block per kept hot spot; each
+        # count depends on its own SI only.
+        blocks = [_counts(HOT_SPOT_SIS[hs], activity, intra) for hs in kept]
         workload = Workload(
             name=(
                 f"h264-model-{self.width}x{self.height}-"
@@ -231,7 +256,7 @@ class H264WorkloadModel:
             )
         )
         for frame in range(self.num_frames):
-            for hot_spot, block in blocks.items():
+            for hot_spot, block in zip(kept, blocks):
                 workload.append(
                     HotSpotTrace(
                         hot_spot=hot_spot,

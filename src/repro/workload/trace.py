@@ -67,7 +67,7 @@ class HotSpotTrace:
             )
         if len(set(self.si_names)) != len(self.si_names):
             raise TraceError(f"duplicate SI names in {self.si_names!r}")
-        if (self.counts < 0).any():
+        if self.counts.min(initial=0) < 0:
             raise TraceError("negative SI execution counts in trace")
         # A view, so the caller's own array stays writeable.
         self.counts = self.counts.view()

@@ -66,6 +66,12 @@ class TestConstructors:
         assert space.zero().counts == (0, 0, 0)
         assert space.zero().is_zero
 
+    def test_zero_is_one_cached_molecule(self, space):
+        assert space.zero() is space.zero()
+        assert space.zero().space is space
+        assert space.zero() == space.molecule([0, 0, 0])
+        assert hash(space.zero()) == hash(space.molecule([0, 0, 0]))
+
     def test_top_dominates_everything(self, space):
         top = space.top()
         assert space.molecule({"A": 999}) <= top

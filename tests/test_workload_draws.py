@@ -175,3 +175,43 @@ class TestWorkloadDraws:
         expected = [t[0] for t in adversarial_oracle(model)]
         H264WorkloadModel(num_frames=1, seed=1).generate()
         assert model.hot_spot_sequence() == expected
+
+
+class TestPerHotSpotBuilds:
+    """``generate(hot_spots=...)`` computes only the kept hot spots'
+    columns, and skips the intra draw when no kept column needs it; the
+    kept traces must not move by a byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_frames=st.integers(1, 4),
+        seed=seeds,
+        scene_cut_frame=st.sampled_from([-1, 0, 1, 2, 3, 70]),
+        hot_spots=st.lists(
+            st.sampled_from(HOT_SPOT_ORDER), min_size=1, max_size=3,
+            unique=True,
+        ).map(tuple),
+    )
+    def test_kept_hot_spots_equal_the_oracle_and_the_full_build(
+        self, num_frames, seed, scene_cut_frame, hot_spots
+    ):
+        model = H264WorkloadModel(
+            num_frames=num_frames, seed=seed,
+            scene_cut_frame=scene_cut_frame,
+        )
+        kept = model.generate(hot_spots)
+        assert_matches(kept, h264_oracle(model, hot_spots))
+        full = [t for t in model.generate().traces if t.hot_spot in hot_spots]
+        assert [t.counts.tobytes() for t in kept.traces] == [
+            t.counts.tobytes() for t in full
+        ]
+
+    def test_service_cells_over_many_seeds(self):
+        """The service's cell shape: one frame, one hot spot."""
+        for seed in range(2008, 2008 + 150):
+            model = H264WorkloadModel(num_frames=1, seed=seed)
+            for hot_spot in HOT_SPOT_ORDER:
+                assert_matches(
+                    model.generate((hot_spot,)),
+                    h264_oracle(model, (hot_spot,)),
+                )
