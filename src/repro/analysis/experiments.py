@@ -3,7 +3,7 @@
 Each ``run_*`` function describes its simulations as
 :class:`~repro.exec.spec.SweepCell` grids and executes them through the
 sweep engine (:mod:`repro.exec`) — so every figure/table benefits from
-process-pool parallelism (``jobs``) and the content-addressed result
+parallel worker processes (``jobs``) and the content-addressed result
 cache (``cache``): a repeated or resumed reproduction skips completed
 cells entirely.  The full paper scale (140 CIF frames, AC counts 5-24,
 four schedulers plus the Molen baseline) takes a few minutes cold; pass

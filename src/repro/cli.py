@@ -38,8 +38,8 @@ fault-injection and graceful-degradation path; their reports include the
 fault/retry counters.
 
 Sweep-shaped commands (``sweep``, ``fig2``, ``fig7``, ``fig8``,
-``table2``) execute through the parallel sweep engine: ``--jobs N`` fans
-the cells out over a process pool, ``--cache-dir PATH`` enables the
+``table2``) execute through the sweep engine: ``--jobs N`` runs the
+cells on N long-lived worker processes, ``--cache-dir PATH`` enables the
 content-addressed result cache (repeated or resumed invocations skip
 completed cells), and ``--no-cache`` forces fresh simulation.  Parallel
 results are bit-identical to serial ones.
@@ -184,29 +184,20 @@ def _engine_setup(args: argparse.Namespace):
 def _supervision_setup(args: argparse.Namespace):
     """(policy, journal_path, resume_from, chaos) from flags/env.
 
-    All four are ``None`` when nothing asks for supervision — the sweep
-    then runs on the plain pool exactly as before.
+    All four are ``None`` when nothing asks for supervision: the sweep
+    then runs in-process, or on unsupervised worker slots under
+    ``--jobs``.
     """
     chaos = parse_chaos_spec(args.chaos) if args.chaos else chaos_from_env()
-    flagged = bool(
-        args.timeout or args.max_attempts or args.journal or args.resume
-    )
     policy: Optional[SupervisorPolicy] = None
     if args.timeout or args.max_attempts:
         policy = SupervisorPolicy(
             timeout=args.timeout if args.timeout else None,
             max_attempts=args.max_attempts if args.max_attempts else 3,
         )
-    elif not flagged:
+    elif not (args.journal or args.resume):
         policy = policy_from_env()
-    if policy is None and not flagged and not chaos:
-        return None, None, None, None
-    return (
-        policy,
-        args.journal or None,
-        args.resume or None,
-        chaos if chaos else None,
-    )
+    return policy, args.journal or None, args.resume or None, chaos or None
 
 
 def _fault_setup(args: argparse.Namespace):
@@ -318,50 +309,32 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     )
     jobs, cache = _engine_setup(args)
     policy, journal_path, resume_from, chaos = _supervision_setup(args)
-    supervised = any(
-        v is not None for v in (policy, journal_path, resume_from, chaos)
-    )
     trace_lines: List[str] = []
-    if args.trace_out and supervised:
-        raise SweepError(
-            "--trace-out cannot be combined with supervision flags: "
-            "supervised cells run in worker processes, where in-process "
-            "tracers cannot follow"
-        )
-    if args.trace_out:
-        # Per-cell traces force a serial in-process run (tracers cannot
-        # cross process boundaries, and a cache hit would skip events).
-        def _tracer_factory(cell):
-            return RecordingTracer()
 
-        def _on_trace(cell, tracer):
-            path = _trace_cell_path(args.trace_out, cell.label)
-            export_events(list(tracer), path, args.trace_format)
-            trace_lines.append(
-                f"  trace: {len(tracer)} events -> {path} "
-                f"({args.trace_format})"
-            )
+    # Per-cell traces force a serial in-process run (tracers cannot
+    # cross process boundaries, and a cache hit would skip events).
+    def _tracer_factory(cell):
+        return RecordingTracer()
 
-        report = run_sweep(
-            spec,
-            jobs=jobs,
-            cache=cache,
-            tracer_factory=_tracer_factory,
-            on_trace=_on_trace,
+    def _on_trace(cell, tracer):
+        path = _trace_cell_path(args.trace_out, cell.label)
+        export_events(list(tracer), path, args.trace_format)
+        trace_lines.append(
+            f"  trace: {len(tracer)} events -> {path} ({args.trace_format})"
         )
-    elif supervised:
-        report = run_sweep(
-            spec,
-            jobs=jobs,
-            cache=cache,
-            policy=policy,
-            journal_path=journal_path,
-            resume_from=resume_from,
-            chaos=chaos,
-            fsync=args.fsync,
-        )
-    else:
-        report = run_sweep(spec, jobs=jobs, cache=cache)
+
+    report = run_sweep(
+        spec,
+        jobs=jobs,
+        cache=cache,
+        tracer_factory=_tracer_factory if args.trace_out else None,
+        on_trace=_on_trace,
+        policy=policy,
+        journal_path=journal_path,
+        resume_from=resume_from,
+        chaos=chaos,
+        fsync=args.fsync,
+    )
     lines = [
         f"AC sweep ({args.scheduler}, {frames} frames, fault rate "
         f"{args.fault_rate}, seed {args.fault_seed}, max retries "

@@ -1,22 +1,24 @@
 """repro.exec — the sweep-execution subsystem.
 
 Design-space sweeps (Figure 7's scheduler x AC-count grid and anything
-larger) run through three pieces:
+larger) run through four pieces:
 
 * :class:`~repro.exec.spec.SweepSpec` — a declarative grid that
   enumerates (system, scheduler, AC count, fault config, workload)
   cells,
-* :func:`~repro.exec.runner.run_sweep` — a ``concurrent.futures``
-  process-pool runner with chunked dispatch and per-cell timing,
+* :func:`~repro.exec.runner.run_sweep` — the one sweep entry point: it
+  serves journal and cache hits, runs cells in-process when they must
+  (traced, or serial without supervision) and times each cell,
 * :class:`~repro.exec.cache.ResultCache` — a content-addressed on-disk
   cache (cell config + code-version salt, hashed to a JSON artifact of
   the :class:`~repro.sim.results.SimulationResult`) that makes repeated
   or resumed sweeps skip completed cells,
-* :func:`~repro.exec.supervise.run_supervised` — the fault-tolerant
-  supervision layer (per-cell timeouts, seeded-backoff retries,
-  quarantine, JSONL journaling with ``--resume``, graceful SIGINT/
-  SIGTERM shutdown) with chaos injection (:mod:`repro.exec.chaos`) for
-  testing it.
+* :mod:`~repro.exec.supervise` — the long-lived worker slots every
+  other sweep runs on, and the fault-tolerant supervision layer of
+  :func:`~repro.exec.supervise.run_supervised` (per-cell timeouts,
+  seeded-backoff retries, quarantine, JSONL journaling with
+  ``--resume``, graceful SIGINT/SIGTERM shutdown) with chaos injection
+  (:mod:`repro.exec.chaos`) for testing it.
 
 Parallel runs are bit-identical to serial runs; cache replays, journal
 resumes and supervised runs are bit-identical to both.  The figure/table
@@ -36,7 +38,6 @@ from .runner import (
     default_jobs,
     execute_cell,
     run_sweep,
-    timed_execute,
 )
 from .spec import SweepCell, SweepSpec, WorkloadSpec
 from .supervise import (
@@ -60,7 +61,6 @@ __all__ = [
     "CellOutcome",
     "SweepReport",
     "execute_cell",
-    "timed_execute",
     "run_sweep",
     "default_jobs",
     "cache_from_env",

@@ -1,22 +1,25 @@
-"""Parallel, cache-backed execution of sweep cells.
+"""Cache-backed execution of sweep cells.
 
-The runner fans :class:`~repro.exec.spec.SweepCell` work out over a
-``concurrent.futures`` process pool (``jobs`` workers, chunked
-dispatch), measures per-cell wall time, and consults an optional
-:class:`~repro.exec.cache.ResultCache` so completed cells are never
-re-simulated.
+:func:`run_sweep` is the one entry point of every sweep.  It serves
+what a resumed journal or the :class:`~repro.exec.cache.ResultCache`
+already holds, then executes the rest: in-process for traced cells and
+for serial unsupervised runs, otherwise on the long-lived worker slots
+of :mod:`repro.exec.supervise`.  Every cell, however it was served,
+completes in one place (:class:`_Sweep`), which stores it in the cache,
+journals it and hands it to the report.
 
 Determinism contract: a cell is a *pure function* of its configuration.
-Every worker builds its own workload from the cell alone (no state
+Every cell builds its own workload from itself alone (no state
 crosses process boundaries besides the cell itself), over the process's
 frozen :func:`~repro.h264.silibrary.h264_platform`, and all models are
 seed-driven.  The simulator comes from a small per-process pool keyed
 by the cell's simulator fields (:func:`_simulator_key`); a pooled
 simulator starts every run with :meth:`~repro.sim.engine.SystemSimulator.reset`,
 after which it is observationally a fresh one, so which cells ran
-before in the same process cannot show in a result.  A parallel run is
-therefore bit-identical to a serial run, and both are bit-identical to
-a cache replay.  ``tests/test_exec_determinism.py`` and
+before in the same process cannot show in a result: not in a serial
+run, and not on a long-lived worker.  A parallel run is therefore
+bit-identical to a serial run, and both are bit-identical to a cache
+replay.  ``tests/test_exec_determinism.py`` and
 ``tests/test_sim_pool.py`` pin this down.
 """
 
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -42,6 +44,7 @@ from typing import (
 
 from ..core.memo import LruMemo
 from ..core.schedulers import get_scheduler
+from ..errors import SweepError
 from ..fabric.faults import BernoulliLoadFaults, RetryPolicy
 from ..h264.silibrary import h264_platform
 from ..sim.engine import SystemSimulator
@@ -49,21 +52,21 @@ from ..sim.molen import MolenSimulator
 from ..sim.results import SimulationResult
 from ..sim.rispp import RisppSimulator
 from ..sim.software import simulate_software
-from .cache import ResultCache
+from .cache import CODE_VERSION_SALT, ResultCache, cell_key
+from .journal import SweepJournal, read_journal
 from .spec import SweepCell, SweepSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
     from ..obs.tracer import Tracer
     from .chaos import ChaosSpec
-    from .journal import QuarantinedCell
+    from .journal import JournalState, QuarantinedCell
     from .supervise import SupervisorPolicy
 
 __all__ = [
     "CellOutcome",
     "SweepReport",
     "execute_cell",
-    "timed_execute",
     "run_sweep",
     "default_jobs",
     "cache_from_env",
@@ -152,7 +155,7 @@ def execute_cell(
     tracer: Optional["Tracer"] = None,
     metrics: Optional["MetricsRegistry"] = None,
 ) -> SimulationResult:
-    """Run one cell's simulation (no cache, no process pool).
+    """Run one cell's simulation in this process (no cache, no worker).
 
     The simulator comes warm from the process's pool and starts from
     its reset, so the result equals a freshly built simulator's.
@@ -175,24 +178,20 @@ def execute_cell(
         sim.attach()
 
 
-def _timed_execute(cell: SweepCell) -> Tuple[Dict[str, Any], float]:
-    """Worker entry point: run a cell, return (payload, seconds).
+def _timed_execute(
+    cell: SweepCell, tracer: Optional["Tracer"] = None
+) -> Tuple[Dict[str, Any], float]:
+    """Run a cell, return (payload, seconds): in-process and on workers.
 
     Results travel as plain-JSON dictionaries rather than pickled
     objects, so exactly what a worker computed is exactly what the cache
-    stores and what a serial run serializes — one representation for all
-    three paths.
+    stores and what a serial run serializes — one representation for
+    every path.
     """
     start = time.perf_counter()
-    result = execute_cell(cell)
+    result = execute_cell(cell, tracer)
     payload = result.to_json_dict()
     return payload, time.perf_counter() - start
-
-
-#: Public alias: the supervisor's worker processes run cells through the
-#: exact same entry point as the plain pool, so supervised and bare runs
-#: cannot drift apart.
-timed_execute = _timed_execute
 
 
 @dataclass(frozen=True)
@@ -323,10 +322,110 @@ class SweepReport:
         return registry
 
 
-def _chunksize(num_tasks: int, jobs: int) -> int:
-    """Chunk tasks so each worker sees a few batches (amortises IPC
-    without serialising the tail behind one slow worker)."""
-    return max(1, num_tasks // (jobs * 4))
+class _Sweep:
+    """The cells of one sweep and where each of them lands.
+
+    Journal replays, cache hits and executed cells, whether in-process
+    or on a worker slot, all complete through :meth:`complete`, so the
+    cache, the journal and the report see one payload on every path.
+    """
+
+    def __init__(
+        self,
+        cells: List[SweepCell],
+        cache: Optional[ResultCache],
+        progress: Optional[Callable[[CellOutcome], None]],
+        journal: Optional["SweepJournal"] = None,
+        tracer: Optional["Tracer"] = None,
+        metrics: Optional["MetricsRegistry"] = None,
+    ) -> None:
+        self.cells = cells
+        self.cache = cache
+        self.progress = progress
+        self.journal = journal
+        self.tracer = tracer
+        self.metrics = metrics
+        self.outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
+        self.resume_hits = 0
+
+    def count(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name).inc()
+
+    def emit(self, event: Any) -> None:
+        if self.tracer is not None and self.tracer.enabled:
+            self.tracer.emit(event)
+
+    def complete(
+        self,
+        index: int,
+        payload: Dict[str, Any],
+        seconds: float,
+        cache_hit: bool = False,
+        attempts: int = 1,
+        journal_it: bool = True,
+    ) -> None:
+        cell = self.cells[index]
+        if self.cache is not None and not cache_hit:
+            self.cache.put(cell, payload)
+        if self.journal is not None and journal_it:
+            self.journal.record_completed(cell, payload, attempts, seconds)
+        outcome = CellOutcome(
+            cell=cell,
+            result=SimulationResult.from_json_dict(payload),
+            wall_time=seconds,
+            cache_hit=cache_hit,
+        )
+        self.outcomes[index] = outcome
+        if self.progress is not None:
+            self.progress(outcome)
+
+    def serve_stored(
+        self,
+        resume: Optional["JournalState"],
+        rejournal: bool,
+        read_cache: bool,
+        salt: str,
+    ) -> List[int]:
+        """Complete what a resumed journal or the cache already holds.
+
+        The journal goes first, so a resumed run does not depend on
+        cache configuration.  Returns the indices left to execute.
+        """
+        pending: List[int] = []
+        for index, cell in enumerate(self.cells):
+            if resume is not None:
+                payload = resume.payload_for(cell, salt)
+                if payload is not None:
+                    from ..obs.events import CellResumed
+
+                    self.resume_hits += 1
+                    self.count("supervisor.resume_hits")
+                    self.emit(
+                        CellResumed(cycle=0, label=cell.label, source="journal")
+                    )
+                    self.complete(
+                        index,
+                        payload,
+                        0.0,
+                        cache_hit=True,
+                        attempts=resume.attempts.get(cell_key(cell, salt), 1),
+                        journal_it=rejournal,
+                    )
+                    continue
+            if read_cache and self.cache is not None:
+                t0 = time.perf_counter()
+                payload = self.cache.get(cell)
+                if payload is not None:
+                    self.complete(
+                        index, payload, time.perf_counter() - t0, cache_hit=True
+                    )
+                    continue
+            pending.append(index)
+        return pending
+
+    def done(self) -> List[CellOutcome]:
+        return [o for o in self.outcomes if o is not None]
 
 
 def run_sweep(
@@ -344,15 +443,18 @@ def run_sweep(
     metrics: Optional["MetricsRegistry"] = None,
     fsync: bool = False,
 ) -> SweepReport:
-    """Execute a sweep: every cell of ``spec``, cache-first, in parallel.
+    """Execute a sweep: every cell of ``spec``, cache-first.
 
     Parameters
     ----------
     spec:
         A :class:`SweepSpec` or an explicit cell sequence.
     jobs:
-        Worker processes; ``1`` runs serially in-process (no pool is
-        spawned at all, keeping tracebacks and profiles simple).
+        Worker slots (:mod:`repro.exec.supervise`); ``1`` without
+        supervision runs serially in-process (no worker is started at
+        all, keeping tracebacks and profiles simple).  Unsupervised
+        slots give each cell one attempt with no deadline; a failed
+        cell raises :class:`~repro.errors.SweepError`.
     cache:
         Optional result cache; hits skip simulation entirely, misses are
         stored after execution.
@@ -367,13 +469,12 @@ def run_sweep(
     on_trace:
         Callback invoked after each traced cell with ``(cell, tracer)``;
         typically exports the recorded events.
-    policy / journal_path / resume_from / chaos / tracer / metrics:
-        Supervision parameters; when any of them is given the sweep is
-        delegated to :func:`repro.exec.supervise.run_supervised`, which
-        adds per-cell timeouts, retries, quarantine, journaling and
-        graceful shutdown on top of the same determinism contract.
-        Mutually exclusive with ``tracer_factory`` (supervised cells run
-        in worker processes, where tracers cannot follow).
+    policy / journal_path / resume_from / chaos / tracer / metrics / fsync:
+        Supervision (see :func:`repro.exec.supervise.run_supervised`):
+        when any of the first four is given, cells get per-cell
+        timeouts, retries and quarantine, outcomes are journaled, and
+        SIGINT/SIGTERM drain the run.  Mutually exclusive with
+        ``tracer_factory``.
 
     The returned report lists outcomes in *cell enumeration order*
     regardless of completion order, so downstream table/figure code can
@@ -385,95 +486,67 @@ def run_sweep(
         or resume_from is not None
         or chaos is not None
     )
-    if supervised:
-        from ..errors import SweepError
-        from .supervise import run_supervised
-
-        if tracer_factory is not None:
-            raise SweepError(
-                "tracer_factory cannot be combined with supervision: "
-                "supervised cells run in worker processes, where "
-                "in-process tracers cannot follow"
-            )
-        return run_supervised(
-            spec,
-            jobs=jobs,
-            cache=cache,
-            policy=policy,
-            journal_path=journal_path,
-            resume_from=resume_from,
-            chaos=chaos,
-            progress=progress,
-            tracer=tracer,
-            metrics=metrics,
-            fsync=fsync,
+    if tracer_factory is not None and supervised:
+        raise SweepError(
+            "tracer_factory (--trace-out) cannot be combined with "
+            "supervision: supervised cells run in worker processes, "
+            "where in-process tracers cannot follow"
         )
     cells = list(spec.cells() if isinstance(spec, SweepSpec) else spec)
     jobs = max(1, int(jobs))
     started = time.perf_counter()
-    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    traced = tracer_factory is not None
+    salt = cache.salt if cache is not None else CODE_VERSION_SALT
+    journal = None
+    if journal_path is not None:
+        journal = SweepJournal(journal_path, salt=salt, fsync=fsync)
+    resume = None
+    if resume_from is not None:
+        resume = read_journal(resume_from, salt=salt)
+    # When appending to the very journal we are resuming from, its
+    # completed lines are already there: do not duplicate them.
+    rejournal = journal is not None and (
+        resume_from is None
+        or Path(journal_path or "").resolve() != Path(resume_from).resolve()
+    )
+    sweep = _Sweep(cells, cache, progress, journal, tracer, metrics)
+    pending = sweep.serve_stored(
+        resume, rejournal, read_cache=tracer_factory is None, salt=salt
+    )
 
-    pending: List[Tuple[int, SweepCell]] = []
-    for index, cell in enumerate(cells):
-        if cache is not None and not traced:
-            t0 = time.perf_counter()
-            payload = cache.get(cell)
-            if payload is not None:
-                outcome = CellOutcome(
-                    cell=cell,
-                    result=SimulationResult.from_json_dict(payload),
-                    wall_time=time.perf_counter() - t0,
-                    cache_hit=True,
-                )
-                outcomes[index] = outcome
-                if progress is not None:
-                    progress(outcome)
-                continue
-        pending.append((index, cell))
-
-    def finish(index: int, cell: SweepCell, payload: Dict[str, Any],
-               seconds: float) -> None:
-        if cache is not None:
-            cache.put(cell, payload)
-        outcome = CellOutcome(
-            cell=cell,
-            result=SimulationResult.from_json_dict(payload),
-            wall_time=seconds,
-            cache_hit=False,
-        )
-        outcomes[index] = outcome
-        if progress is not None:
-            progress(outcome)
-
-    if traced:
-        for index, cell in pending:
-            tracer = tracer_factory(cell)
-            t0 = time.perf_counter()
-            result = execute_cell(cell, tracer=tracer)
-            seconds = time.perf_counter() - t0
-            if on_trace is not None:
-                on_trace(cell, tracer)
-            finish(index, cell, result.to_json_dict(), seconds)
-    elif pending and jobs > 1 and len(pending) > 1:
-        workers = min(jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            mapped = pool.map(
-                _timed_execute,
-                [cell for _, cell in pending],
-                chunksize=_chunksize(len(pending), workers),
+    if tracer_factory is not None or (jobs == 1 and not supervised):
+        for index in pending:
+            cell = cells[index]
+            cell_tracer = (
+                tracer_factory(cell) if tracer_factory is not None else None
             )
-            for (index, cell), (payload, seconds) in zip(pending, mapped):
-                finish(index, cell, payload, seconds)
-    else:
-        for index, cell in pending:
-            payload, seconds = _timed_execute(cell)
-            finish(index, cell, payload, seconds)
+            payload, seconds = _timed_execute(cell, cell_tracer)
+            if on_trace is not None and cell_tracer is not None:
+                on_trace(cell, cell_tracer)
+            sweep.complete(index, payload, seconds)
+        return SweepReport(
+            outcomes=sweep.done(),
+            elapsed=time.perf_counter() - started,
+            jobs=jobs,
+        )
 
-    done = [o for o in outcomes if o is not None]
-    assert len(done) == len(cells)
+    from .supervise import SupervisorPolicy, _Supervisor
+
+    if supervised and policy is None:
+        policy = SupervisorPolicy()
+    supervisor = _Supervisor(sweep, pending, jobs, policy, chaos, salt)
+    try:
+        supervisor.run()
+    finally:
+        if journal is not None:
+            if supervisor.interrupts > 0:
+                journal.record_interrupted(supervisor.pending)
+            journal.close()
     return SweepReport(
-        outcomes=done,
+        outcomes=sweep.done(),
         elapsed=time.perf_counter() - started,
         jobs=jobs,
+        quarantined=supervisor.quarantined,
+        interrupted=supervisor.interrupts > 0,
+        resume_hits=sweep.resume_hits,
+        retries=supervisor.retries,
     )

@@ -1,16 +1,16 @@
-"""Fault-tolerant supervision of sweep execution.
+"""Worker slots and fault-tolerant supervision of sweep execution.
 
-:func:`run_supervised` is the resilient sibling of
-:func:`repro.exec.runner.run_sweep`: instead of handing cells to a bare
-process pool (where one hung or segfaulting worker loses the whole
-grid), it runs **one worker process per in-flight cell** and supervises
-each through a result pipe.  That buys exactly the four guarantees the
-plain pool cannot give:
+Every sweep that does not run in-process runs here, on ``jobs`` worker
+slots.  Each slot holds one long-lived worker process with one duplex
+pipe: the worker keeps its process-wide memos (platform, tables,
+selections, plans, simulators) warm across the cells it serves, and
+any failed attempt retires it, so nothing a failure left behind can
+reach another cell.  :func:`run_supervised` adds four guarantees on top:
 
 1. **Per-cell wall-clock timeouts.**  A cell that exceeds its deadline
-   is killed (``terminate`` then ``kill``) and its slot respawned —
-   futures cannot do this, because a pool worker stuck in C code never
-   honours cancellation.
+   is killed (``terminate`` then ``kill``) and its slot respawned at
+   the next dispatch: a worker stuck in C code never honours a softer
+   cancellation.
 2. **Retries with seeded backoff.**  Transient failures re-enter the
    queue after an exponential-backoff delay with seeded jitter, computed
    through :func:`repro.fabric.faults.backoff_delay` — the same helper
@@ -25,6 +25,10 @@ plain pool cannot give:
    dispatch, drain in-flight cells, and leave a journal from which
    ``repro sweep --resume`` replays completed cells bit-identically.
 
+Without supervision (``jobs > 1`` and none of the supervision
+parameters), the slots give each cell one attempt and no deadline, and
+a failed cell raises :class:`~repro.errors.SweepError`.
+
 The determinism contract is untouched: cells are pure functions of their
 configuration, so replayed, retried, resumed and fresh results are all
 byte-identical (``tests/test_exec_resume.py`` pins this down).
@@ -32,6 +36,7 @@ byte-identical (``tests/test_exec_resume.py`` pins this down).
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -54,16 +59,15 @@ from typing import (
 
 from ..errors import SweepError
 from ..fabric.faults import backoff_delay
-from ..sim.results import SimulationResult
-from .cache import CODE_VERSION_SALT, ResultCache, cell_key
+from .cache import ResultCache, cell_key
 from .chaos import ChaosSpec
-from .journal import QuarantinedCell, SweepJournal, read_journal
+from .journal import QuarantinedCell
 from .spec import SweepCell, SweepSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
     from ..obs.tracer import Tracer
-    from .runner import CellOutcome, SweepReport
+    from .runner import CellOutcome, SweepReport, _Sweep
 
 __all__ = [
     "CellFailure",
@@ -228,48 +232,51 @@ def policy_from_env() -> Optional[SupervisorPolicy]:
 
 def _worker_main(
     conn: multiprocessing.connection.Connection,
-    cell: SweepCell,
-    attempt: int,
     chaos: Optional[ChaosSpec],
 ) -> None:
-    """Entry point of one supervised worker process.
+    """Entry point of one long-lived worker process.
 
-    Sends exactly one message back: ``("ok", payload, seconds)`` or
-    ``("error", exception_type_name, message)``.  A hang sends nothing
-    (the supervisor's deadline fires); a crash closes the pipe without a
-    message (the supervisor reads EOF).
+    Serves ``(cell, attempt)`` tasks until it receives ``None``, and
+    answers each with exactly one message: ``("ok", payload, seconds)``
+    or ``("error", exception_type_name, message)``.  A hang sends
+    nothing (the supervisor's deadline fires); a crash closes the pipe
+    without a message (the supervisor reads EOF).
     """
     from .runner import _timed_execute
 
-    # The supervisor owns interrupt handling; workers must not race it
-    # to the console or die mid-cache-write on a Ctrl-C aimed at the
-    # parent.
+    # The supervisor owns interrupt handling: workers must not race it
+    # to the console on a Ctrl-C aimed at the parent.  SIGTERM gets its
+    # default back, because a fork copies the supervisor's drain
+    # handler, and a timed-out worker must die at ``terminate()``.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        if chaos is not None:
-            chaos.apply(cell, attempt)
-        payload, seconds = _timed_execute(cell)
-        conn.send(("ok", payload, seconds))
-    except BaseException as exc:
-        conn.send(("error", type(exc).__name__, str(exc)))
-    finally:
-        conn.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
+    while True:
+        # Workers forked later hold copies of this pipe's supervisor
+        # end, so EOF alone may never come if the supervisor is killed:
+        # an idle worker also watches for being orphaned.
+        if not conn.poll(1.0):
+            if os.getppid() != parent:
+                break
+            continue
+        try:
+            task = conn.recv()
+        except EOFError:
+            break
+        if task is None:
+            break
+        cell, attempt = task
+        try:
+            if chaos is not None:
+                chaos.apply(cell, attempt)
+            reply = ("ok", *_timed_execute(cell))
+        except BaseException as exc:
+            reply = ("error", type(exc).__name__, str(exc))
+        conn.send(reply)
+    conn.close()
 
 
 # -- supervisor ----------------------------------------------------------------
-
-
-@dataclass
-class _InFlight:
-    """One live worker process and its bookkeeping."""
-
-    index: int
-    cell: SweepCell
-    attempt: int
-    process: multiprocessing.Process
-    conn: multiprocessing.connection.Connection
-    deadline: Optional[float]
-    started: float
 
 
 @dataclass
@@ -280,92 +287,66 @@ class _QueueItem:
     cell: SweepCell
     attempt: int = 1
     not_before: float = 0.0
-    last_failure: Optional[CellFailure] = None
+
+
+@dataclass
+class _Slot:
+    """One worker slot: its process (none until the first dispatch or
+    after a retirement) and the attempt it is running, if any."""
+
+    process: Optional[multiprocessing.Process] = None
+    conn: Optional[multiprocessing.connection.Connection] = None
+    item: Optional[_QueueItem] = None
+    deadline: Optional[float] = None
 
 
 class _Supervisor:
-    """The event loop behind :func:`run_supervised`."""
+    """The worker slots behind every sweep that does not run in-process.
+
+    ``policy=None`` is an unsupervised run: one attempt per cell, no
+    deadline, no signal handling, and a failed cell raises
+    :class:`SweepError` as it would in a serial run.
+    """
 
     def __init__(
         self,
-        cells: Sequence[SweepCell],
+        sweep: "_Sweep",
+        pending: Sequence[int],
         jobs: int,
-        cache: Optional[ResultCache],
-        policy: SupervisorPolicy,
-        journal: Optional[SweepJournal],
+        policy: Optional[SupervisorPolicy],
         chaos: Optional[ChaosSpec],
-        progress: Optional[Callable[["CellOutcome"], None]],
-        tracer: Optional["Tracer"],
-        metrics: Optional["MetricsRegistry"],
-        salt: str = CODE_VERSION_SALT,
+        salt: str,
     ) -> None:
-        self.cells = list(cells)
-        self.jobs = max(1, int(jobs))
-        self.cache = cache
-        self.policy = policy
-        self.journal = journal
-        self.chaos = chaos
-        self.progress = progress
-        self.tracer = tracer
-        self.metrics = metrics
-        self.salt = salt
-        self.rng = random.Random(policy.retry_seed)
-        self.outcomes: List[Optional["CellOutcome"]] = [None] * len(cells)
-        self.quarantined: List[QuarantinedCell] = []
-        self.queue: List[_QueueItem] = []
-        self.in_flight: List[_InFlight] = []
-        self.retries = 0
-        self.resume_hits = 0
-        self.interrupts = 0
-
-    # -- observability helpers -------------------------------------------
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
-
-    def _emit(self, event: Any) -> None:
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(event)
-
-    # -- outcome plumbing -------------------------------------------------
-
-    def _complete(
-        self,
-        index: int,
-        cell: SweepCell,
-        payload: Dict[str, Any],
-        seconds: float,
-        cache_hit: bool,
-        attempts: int,
-        journal_it: bool = True,
-    ) -> None:
-        from .runner import CellOutcome
-
-        if self.cache is not None and not cache_hit:
-            self.cache.put(cell, payload)
-        if self.journal is not None and journal_it:
-            self.journal.record_completed(cell, payload, attempts, seconds)
-        outcome = CellOutcome(
-            cell=cell,
-            result=SimulationResult.from_json_dict(payload),
-            wall_time=seconds,
-            cache_hit=cache_hit,
+        self.sweep = sweep
+        self.strict = policy is None
+        self.policy = policy if policy is not None else SupervisorPolicy(
+            max_attempts=1
         )
-        self.outcomes[index] = outcome
-        if self.progress is not None:
-            self.progress(outcome)
+        self.chaos = chaos
+        self.salt = salt
+        self.rng = random.Random(self.policy.retry_seed)
+        self.queue = [_QueueItem(index, sweep.cells[index]) for index in pending]
+        self.slots = [_Slot() for _ in range(max(1, int(jobs)))]
+        self.quarantined: List[QuarantinedCell] = []
+        self.retries = 0
+        self.interrupts = 0
 
     def _fail(self, item: _QueueItem, failure: CellFailure) -> None:
         """One attempt failed: schedule a retry or quarantine the cell."""
         from ..obs.events import CellQuarantined, CellRetry
 
+        if self.strict:
+            raise SweepError(
+                f"cell {item.cell.label!r} failed in its worker "
+                f"({failure.kind}): {failure.message}"
+            )
+        sweep = self.sweep
+        sweep.count(f"supervisor.failures.{failure.kind}")
         if item.attempt < self.policy.max_attempts and self.interrupts == 0:
             delay = self.policy.retry_delay(item.attempt, self.rng)
             self.retries += 1
-            self._count("supervisor.retries")
-            self._count(f"supervisor.failures.{failure.kind}")
-            self._emit(
+            sweep.count("supervisor.retries")
+            sweep.emit(
                 CellRetry(
                     cycle=0,
                     label=item.cell.label,
@@ -374,8 +355,8 @@ class _Supervisor:
                     backoff_ms=int(delay * 1000),
                 )
             )
-            if self.journal is not None:
-                self.journal.record_retry(
+            if sweep.journal is not None:
+                sweep.journal.record_retry(
                     item.cell,
                     item.attempt,
                     failure.kind,
@@ -388,7 +369,6 @@ class _Supervisor:
                     cell=item.cell,
                     attempt=item.attempt + 1,
                     not_before=_wall_clock() + delay,
-                    last_failure=failure,
                 )
             )
             return
@@ -400,9 +380,8 @@ class _Supervisor:
             attempts=item.attempt,
         )
         self.quarantined.append(quarantined)
-        self._count("supervisor.quarantined")
-        self._count(f"supervisor.failures.{failure.kind}")
-        self._emit(
+        sweep.count("supervisor.quarantined")
+        sweep.emit(
             CellQuarantined(
                 cycle=0,
                 label=item.cell.label,
@@ -410,100 +389,93 @@ class _Supervisor:
                 failure=failure.kind,
             )
         )
-        if self.journal is not None:
-            self.journal.record_quarantined(quarantined)
+        if sweep.journal is not None:
+            sweep.journal.record_quarantined(quarantined)
 
     # -- process management ------------------------------------------------
 
-    def _dispatch(self, item: _QueueItem) -> None:
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=_worker_main,
-            args=(child_conn, item.cell, item.attempt, self.chaos),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        now = _wall_clock()
-        self.in_flight.append(
-            _InFlight(
-                index=item.index,
-                cell=item.cell,
-                attempt=item.attempt,
-                process=process,
-                conn=parent_conn,
-                deadline=(
-                    now + self.policy.timeout
-                    if self.policy.timeout is not None
-                    else None
-                ),
-                started=now,
+    def _dispatch(self, slot: _Slot, item: _QueueItem) -> None:
+        if slot.process is None:
+            parent_conn, child_conn = multiprocessing.Pipe()
+            slot.process = multiprocessing.Process(
+                target=_worker_main, args=(child_conn, self.chaos), daemon=True
             )
-        )
+            slot.process.start()
+            child_conn.close()
+            slot.conn = parent_conn
+        assert slot.conn is not None
+        # A worker that died while idle cannot take the task; the wait
+        # then reads EOF, which is a crash of this attempt.
+        with contextlib.suppress(OSError):
+            slot.conn.send((item.cell, item.attempt))
+        slot.item = item
+        timeout = self.policy.timeout
+        slot.deadline = _wall_clock() + timeout if timeout is not None else None
 
-    def _kill(self, flight: _InFlight) -> None:
-        """Forcefully stop one worker (timeout or hard interrupt)."""
-        if flight.process.is_alive():
-            flight.process.terminate()
-            flight.process.join(timeout=1.0)
-            if flight.process.is_alive():
-                flight.process.kill()
-                flight.process.join(timeout=1.0)
-        flight.conn.close()
+    def _retire(self, slot: _Slot) -> None:
+        """Stop the slot's worker; the slot respawns at its next dispatch.
 
-    def _reap(self, flight: _InFlight) -> None:
-        """Collect the result (or classify the failure) of one worker."""
-        failure: Optional[CellFailure]
+        An idle worker gets the stop sentinel; one still running a cell
+        (timeout, hard interrupt, abort) is terminated, then killed.
+        """
+        process, conn = slot.process, slot.conn
+        if process is None or conn is None:
+            return
+        if slot.item is None:
+            with contextlib.suppress(OSError):  # already dead: a crash
+                conn.send(None)
+            process.join(timeout=1.0)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=1.0)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=1.0)
+        conn.close()
+        slot.process = slot.conn = slot.item = None
+
+    def _reap(self, slot: _Slot) -> None:
+        """Collect the result (or classify the failure) of one attempt."""
+        item, process, conn = slot.item, slot.process, slot.conn
+        assert item is not None and process is not None and conn is not None
         try:
-            message = flight.conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             message = None
-        flight.process.join(timeout=5.0)
-        if flight.process.is_alive():  # pragma: no cover - defensive
-            flight.process.kill()
-            flight.process.join(timeout=1.0)
-        flight.conn.close()
-        item = _QueueItem(
-            index=flight.index, cell=flight.cell, attempt=flight.attempt
-        )
+        slot.item = None
+        if message is not None and message[0] == "ok":
+            _, payload, seconds = message
+            self.sweep.complete(
+                item.index, payload, seconds, attempts=item.attempt
+            )
+            return
+        # Any failed attempt retires its worker, so nothing a failure
+        # left behind can reach another cell.
+        self._retire(slot)
+        failure: CellFailure
         if message is None:
-            exit_code = flight.process.exitcode
             failure = WorkerCrash(
                 message=(
-                    f"worker for cell {flight.cell.label!r} died without a "
-                    f"result (exit code {exit_code})"
+                    f"worker for cell {item.cell.label!r} died without a "
+                    f"result (exit code {process.exitcode})"
                 )
             )
-            self._fail(item, failure)
-            return
-        status = message[0]
-        if status == "ok":
-            _, payload, seconds = message
-            self._complete(
-                index=flight.index,
-                cell=flight.cell,
-                payload=payload,
-                seconds=seconds,
-                cache_hit=False,
-                attempts=flight.attempt,
-            )
-            return
-        _, exc_type, exc_message = message
-        failure = PoisonedCell(message=f"{exc_type}: {exc_message}")
+        else:
+            _, exc_type, exc_message = message
+            failure = PoisonedCell(message=f"{exc_type}: {exc_message}")
         self._fail(item, failure)
 
-    def _expire(self, flight: _InFlight) -> None:
+    def _expire(self, slot: _Slot) -> None:
         """A worker blew its deadline: kill it and classify as timeout."""
-        self._kill(flight)
-        budget = self.policy.timeout if self.policy.timeout is not None else 0.0
+        item = slot.item
+        assert item is not None
+        self._retire(slot)
         self._fail(
-            _QueueItem(
-                index=flight.index, cell=flight.cell, attempt=flight.attempt
-            ),
+            item,
             CellTimeout(
                 message=(
-                    f"cell {flight.cell.label!r} exceeded its "
-                    f"{budget:g}s wall-clock budget"
+                    f"cell {item.cell.label!r} exceeded its "
+                    f"{self.policy.timeout:g}s wall-clock budget"
                 )
             ),
         )
@@ -511,59 +483,62 @@ class _Supervisor:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> None:
-        while self.queue or self.in_flight:
+        previous = {} if self.strict else _install_signal_handlers(self)
+        try:
+            self._loop()
+        finally:
+            _restore_signal_handlers(previous)
+            for slot in self.slots:
+                self._retire(slot)
+
+    def _loop(self) -> None:
+        while True:
+            busy = [s for s in self.slots if s.item is not None]
+            if not (self.queue or busy):
+                break
             now = _wall_clock()
             if self.interrupts >= 2:
                 # Second signal: the operator wants out *now*.  Kill the
                 # in-flight workers; their cells stay pending in the
                 # journal and re-run on --resume.
-                for flight in self.in_flight:
-                    self._kill(flight)
-                self.in_flight.clear()
                 self.queue.clear()
                 break
             if self.interrupts == 0:
-                ready = [q for q in self.queue if q.not_before <= now]
-                ready.sort(key=lambda q: (q.not_before, q.index))
-                while ready and len(self.in_flight) < self.jobs:
-                    item = ready.pop(0)
-                    self.queue.remove(item)
-                    self._dispatch(item)
-            elif not self.in_flight:
+                ready = sorted(
+                    (q for q in self.queue if q.not_before <= now),
+                    key=lambda q: (q.not_before, q.index),
+                )
+                for slot in self.slots:
+                    if slot.item is None and ready:
+                        item = ready.pop(0)
+                        self.queue.remove(item)
+                        self._dispatch(slot, item)
+                busy = [s for s in self.slots if s.item is not None]
+            elif not busy:
                 # Interrupted and nothing left to drain.
                 break
-            wait_timeout = self._next_wait(now)
-            if self.in_flight:
-                ready_conns = multiprocessing.connection.wait(
-                    [f.conn for f in self.in_flight], timeout=wait_timeout
+            wait_timeout = self._next_wait(now, busy)
+            if busy:
+                readable = multiprocessing.connection.wait(
+                    [s.conn for s in busy if s.conn is not None],
+                    timeout=wait_timeout,
                 )
-                for conn in ready_conns:
-                    flight = next(
-                        f for f in self.in_flight if f.conn is conn
-                    )
-                    self.in_flight.remove(flight)
-                    self._reap(flight)
+                for slot in busy:
+                    if slot.conn in readable:
+                        self._reap(slot)
                 now = _wall_clock()
-                expired = [
-                    f
-                    for f in self.in_flight
-                    if f.deadline is not None and f.deadline <= now
-                ]
-                for flight in expired:
-                    self.in_flight.remove(flight)
-                    self._expire(flight)
+                for slot in busy:
+                    expired = slot.deadline is not None and slot.deadline <= now
+                    if slot.item is not None and expired:
+                        self._expire(slot)
             elif wait_timeout is not None and wait_timeout > 0:
                 time.sleep(wait_timeout)
 
-    def _next_wait(self, now: float) -> Optional[float]:
+    def _next_wait(self, now: float, busy: List[_Slot]) -> Optional[float]:
         """Seconds until the next deadline or retry becomes actionable."""
-        horizons: List[float] = []
-        for flight in self.in_flight:
-            if flight.deadline is not None:
-                horizons.append(flight.deadline)
-        if self.interrupts == 0 and len(self.in_flight) < self.jobs:
-            for item in self.queue:
-                horizons.append(item.not_before)
+        horizons = [s.deadline for s in busy if s.deadline is not None]
+        if self.interrupts == 0 and len(busy) < len(self.slots):
+            horizons.extend(item.not_before for item in self.queue)
         if not horizons:
             return None
         return max(0.0, min(horizons) - now) + 0.001
@@ -571,8 +546,8 @@ class _Supervisor:
     @property
     def pending(self) -> int:
         """Cells neither completed nor quarantined (interrupt leftovers)."""
-        done = sum(1 for o in self.outcomes if o is not None)
-        return len(self.cells) - done - len(self.quarantined)
+        done = len(self.sweep.done())
+        return len(self.sweep.cells) - done - len(self.quarantined)
 
 
 def run_supervised(
@@ -618,98 +593,20 @@ def run_supervised(
         Force every journal *commit* line (completed / quarantined /
         interrupted) to stable storage before continuing.
     """
-    from ..obs.events import CellResumed
-    from .runner import SweepReport
+    from .runner import run_sweep
 
-    policy = policy if policy is not None else SupervisorPolicy()
-    cells = list(spec.cells() if isinstance(spec, SweepSpec) else spec)
-    started = time.perf_counter()
-
-    salt = cache.salt if cache is not None else CODE_VERSION_SALT
-    journal: Optional[SweepJournal] = None
-    if journal_path is not None:
-        journal = SweepJournal(journal_path, salt=salt, fsync=fsync)
-    resume_state = None
-    if resume_from is not None:
-        resume_state = read_journal(resume_from, salt=salt)
-    # When appending to the very journal we are resuming from, its
-    # completed lines are already there — do not duplicate them.
-    rejournal_replays = journal is not None and (
-        resume_from is None
-        or Path(journal_path or "").resolve() != Path(resume_from).resolve()
-    )
-
-    supervisor = _Supervisor(
-        cells=cells,
+    return run_sweep(
+        spec,
         jobs=jobs,
         cache=cache,
-        policy=policy,
-        journal=journal,
-        chaos=chaos,
         progress=progress,
+        policy=policy if policy is not None else SupervisorPolicy(),
+        journal_path=journal_path,
+        resume_from=resume_from,
+        chaos=chaos,
         tracer=tracer,
         metrics=metrics,
-        salt=salt,
-    )
-
-    # Serve every cell we can without spawning anything: journal replay
-    # first (a resumed run must not depend on cache configuration), then
-    # the result cache.  The rest is queued for supervised execution.
-    for index, cell in enumerate(cells):
-        if resume_state is not None:
-            payload = resume_state.payload_for(cell, salt)
-            if payload is not None:
-                supervisor.resume_hits += 1
-                supervisor._count("supervisor.resume_hits")
-                supervisor._emit(
-                    CellResumed(cycle=0, label=cell.label, source="journal")
-                )
-                supervisor._complete(
-                    index=index,
-                    cell=cell,
-                    payload=payload,
-                    seconds=0.0,
-                    cache_hit=True,
-                    attempts=resume_state.attempts.get(
-                        cell_key(cell, salt), 1
-                    ),
-                    journal_it=rejournal_replays,
-                )
-                continue
-        if cache is not None:
-            t0 = time.perf_counter()
-            payload = cache.get(cell)
-            if payload is not None:
-                supervisor._complete(
-                    index=index,
-                    cell=cell,
-                    payload=payload,
-                    seconds=time.perf_counter() - t0,
-                    cache_hit=True,
-                    attempts=1,
-                )
-                continue
-        supervisor.queue.append(_QueueItem(index=index, cell=cell))
-
-    previous_handlers = _install_signal_handlers(supervisor)
-    try:
-        supervisor.run()
-    finally:
-        _restore_signal_handlers(previous_handlers)
-        if journal is not None:
-            if supervisor.interrupts > 0:
-                journal.record_interrupted(supervisor.pending)
-            journal.close()
-
-    done = [o for o in supervisor.outcomes if o is not None]
-    return SweepReport(
-        outcomes=done,
-        elapsed=time.perf_counter() - started,
-        jobs=max(1, int(jobs)),
-        quarantined=list(supervisor.quarantined),
-        interrupted=supervisor.interrupts > 0,
-        resume_hits=supervisor.resume_hits,
-        retries=supervisor.retries,
+        fsync=fsync,
     )
 
 
