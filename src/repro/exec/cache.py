@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from .._atomic import atomic_write_text
 from .._version import __version__
@@ -135,22 +135,6 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def contains(self, cell: SweepCell) -> bool:
-        """Whether a *valid* artifact for ``cell`` is on disk.
-
-        Unlike :meth:`get` this probe does not touch the hit/miss
-        statistics — supervisors use it to plan work without skewing
-        the cache metrics of the actual run.
-        """
-        path = self.path_for(cell)
-        try:
-            artifact = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return False
-        return self._artifact_matches(artifact, cell) and isinstance(
-            artifact.get("result"), dict
-        )
-
     def _artifact_matches(self, artifact: Any, cell: SweepCell) -> bool:
         """Paranoia check: the artifact describes exactly this cell."""
         if not isinstance(artifact, dict):
@@ -160,27 +144,6 @@ class ResultCache:
         if artifact.get("salt") != self.salt:
             return False
         return artifact.get("cell") == cell.to_config()
-
-    def read_through(
-        self,
-        cell: SweepCell,
-        compute: Callable[[], Dict[str, Any]],
-    ) -> Tuple[Dict[str, Any], bool]:
-        """Serve ``cell`` from the cache, computing and storing on a miss.
-
-        Returns ``(payload, hit)``.  This is the result-server mode used
-        by the multi-tenant fabric service (:mod:`repro.service`):
-        repeated requests for the same cell become admission-free hits,
-        and the first miss pays for everyone.  ``compute`` must return
-        the plain-JSON result payload (see
-        :meth:`~repro.sim.results.SimulationResult.to_json_dict`).
-        """
-        cached = self.get(cell)
-        if cached is not None:
-            return cached, True
-        payload = compute()
-        self.put(cell, payload)
-        return payload, False
 
     # -- write -------------------------------------------------------------
 

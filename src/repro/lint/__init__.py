@@ -43,10 +43,11 @@ RL011     dead-exports         no unreferenced public symbols, no
                                ``__all__`` drift
 ========  ===================  ==========================================
 
-Run it as ``python -m repro lint`` (see :mod:`repro.lint.cli`); config
-and allowlists live under ``[tool.repro-lint]`` in ``pyproject.toml``
-(:mod:`repro.lint.config`).  Results are cached content-addressed under
-``artifacts/.lintcache/`` (:mod:`repro.lint.cache`).
+Run it as ``python -m repro lint`` (see :mod:`repro.lint.cli`); rule
+scopes and allowlists live in :mod:`repro.lint.config`, and a
+``[tool.repro-lint]`` table in ``pyproject.toml`` may override them.
+Results are cached content-addressed under ``artifacts/.lintcache/``
+(:mod:`repro.lint.cache`).
 """
 
 from __future__ import annotations

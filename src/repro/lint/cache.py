@@ -13,7 +13,7 @@ memoizes exactly that function:
 
 The rule-set fingerprint hashes the ``repro.lint`` package sources, the
 effective per-rule options and the ``--select`` set, so editing a rule,
-a ``pyproject.toml`` option or the selection invalidates everything —
+a setting or the selection invalidates everything —
 no stale-cache false greens after a rule change.
 
 Entries live as individual JSON files under ``artifacts/.lintcache/``

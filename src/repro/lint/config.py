@@ -1,7 +1,11 @@
-"""Lint configuration: built-in defaults overridden by ``pyproject.toml``.
+"""Lint configuration: the rule settings, in one place.
 
-Every rule reads its options from ``[tool.repro-lint.<RULE-ID>]``.  The
-common keys are
+Every rule's settings live in :data:`RULE_DEFAULTS` below; that is where
+scopes and allowlists are reviewed and changed.  A
+``[tool.repro-lint.<RULE-ID>]`` table in a ``pyproject.toml`` (by
+default the one in the source root's parent directory, or the file
+named by ``--pyproject``) overrides them key by key; the repository's
+own ``pyproject.toml`` has no such table.  The common keys are
 
 ``enabled``
     ``false`` switches the rule off entirely.
@@ -21,9 +25,8 @@ Rule-specific keys are documented on the rules themselves
 (:mod:`repro.lint.rules`, :mod:`repro.lint.schema`).
 
 Parsing uses :mod:`tomllib` (stdlib since Python 3.11).  On older
-interpreters the built-in defaults apply unchanged — the defaults and
-the committed ``pyproject.toml`` section are kept in sync, so the gate
-behaves identically either way.
+interpreters overrides are ignored and :data:`RULE_DEFAULTS` applies
+unchanged, so the repository's own gate behaves identically either way.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class LintConfigError(RisppError):
     """The ``[tool.repro-lint]`` configuration is malformed."""
 
 
-#: Built-in per-rule defaults; ``pyproject.toml`` overrides key-by-key.
+#: Every rule's settings; a ``pyproject.toml`` table overrides key by key.
 RULE_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "RL001": {
         "enabled": True,
@@ -55,6 +58,9 @@ RULE_DEFAULTS: Dict[str, Dict[str, Any]] = {
         # per-cell timings, the supervision layer (deadlines and backoff
         # are wall-clock by nature), the chaos harness (hang injection),
         # and the (explicitly non-deterministic) metrics registry.
+        # Allowlist procedure: a module may read the wall clock only if
+        # it is diagnostics-only (never feeds simulated state); add it
+        # here with the justification in the change's description.
         "allow": [
             "repro/exec/runner.py",
             "repro/exec/supervise.py",

@@ -178,7 +178,7 @@ class DeterminismRule(Rule):
                     node,
                     f"deterministic code imports the wall-clock module "
                     f"{root!r}; only the allowlisted sites "
-                    f"([tool.repro-lint.RL001] allow) may read wall time",
+                    f"(RL001 allow, repro/lint/config.py) may read wall time",
                 )
 
     def _check_import_from(

@@ -5,11 +5,12 @@ a :class:`~repro.lint.graph.Program` — every module parsed, imports
 resolved — so a violation in one file can be caused by a definition in
 another:
 
-* **RL008 — architecture layering.**  ``[tool.repro-lint.RL008]``
-  declares named layers (ordered path-glob groups; first match wins)
-  and the DAG of allowed cross-layer imports.  Every runtime import
-  edge must stay inside its layer or follow a declared edge;
-  ``if TYPE_CHECKING:`` imports are exempt (annotation-only coupling).
+* **RL008 — architecture layering.**  The rule's settings
+  (:mod:`repro.lint.config`) declare named layers (ordered path-glob
+  groups; first match wins) and the DAG of allowed cross-layer
+  imports.  Every runtime import edge must stay inside its layer or
+  follow a declared edge; ``if TYPE_CHECKING:`` imports are exempt
+  (annotation-only coupling).
   The rule also rejects unassigned modules, unknown layer names and a
   cyclic declaration — a layering contract that is not a DAG enforces
   nothing.
@@ -157,8 +158,8 @@ class LayeringRule(ProgramRule):
             yield self.finding_at(
                 "pyproject.toml",
                 1,
-                f"[tool.repro-lint.RL008.imports] references layer "
-                f"{name!r}, which is not declared under .layers",
+                f"RL008's imports reference layer {name!r}, which is "
+                f"not declared under its layers",
             )
         cycle = _declaration_cycle(allowed)
         if cycle is not None:
@@ -178,8 +179,8 @@ class LayeringRule(ProgramRule):
                     relpath,
                     1,
                     f"module is not covered by any declared layer; "
-                    f"add it to [tool.repro-lint.RL008.layers] so the "
-                    f"contract stays total",
+                    f"add it to RL008's layers (repro/lint/config.py) so "
+                    f"the contract stays total",
                 )
         # ``from pkg import a, b, c`` makes one edge per symbol; report
         # the (statement, target-module) pair once.

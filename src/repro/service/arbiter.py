@@ -24,8 +24,9 @@ scheduling/simulation requests with deadlines, and the service decides
   when the fabric can no longer fit a lease at all) requests are served
   the cISA-only software answer instead of failing.
 * **Answer reuse** — results are content-addressed: an in-run memo plus
-  the optional :class:`~repro.exec.cache.ResultCache` (read-through)
-  serve repeated requests as admission-free cache hits.
+  the optional :class:`~repro.exec.cache.ResultCache` (a miss is
+  computed once and stored) serve repeated requests as admission-free
+  cache hits.
 * **Live reconfiguration** — a deterministic
   :class:`~repro.service.control.ControlEvent` schedule joins/drains
   tenants and grows/shrinks the AC pool mid-run; leaving tenants finish
@@ -512,48 +513,38 @@ class _Arbiter:
             self._salt(),
         )
 
-    def _probe(self, request: ServiceRequest) -> Optional[List[Any]]:
-        """A previously-served answer for ``request``, if any (no
-        compute)."""
-        cell, key = self._cell_for(request, degraded=False)
+    def _stored_answer(
+        self, cell: SweepCell, key: str
+    ) -> Optional[List[Any]]:
+        """The answer already held for ``cell``: the memo, then the disk
+        cache (each artifact read once, then memoised), else ``None``.
+
+        Recovery does not read the disk: it may hold answers the crashed
+        run stored after the resume point.  The original run memoised
+        every disk hit and the memo was restored, so where the original
+        saw a miss the rerun misses too.
+        """
         answer = self.state.memo.get(key)
-        if answer is not None:
-            return answer
-        if self._replaying:
-            # Recovery: the disk cache may hold answers the crashed run
-            # stored after the resume point.  The original run saw a
-            # miss here (every disk hit is memoised, and the memo was
-            # restored), so the rerun must miss too.
-            return None
-        if self.cache is not None and self.cache.contains(cell):
+        if answer is None and self.cache is not None and not self._replaying:
             payload = self.cache.get(cell)
             if payload is not None:
                 answer = self.state.memo[key] = _answer(payload)
-            return answer
-        return None
+        return answer
 
     def _execute(
         self, request: ServiceRequest, degraded: bool
     ) -> Tuple[List[Any], bool]:
-        """The answer for ``request``: memo, then read-through cache."""
+        """The answer for ``request`` and whether it was already held;
+        a new answer is computed, stored in the cache and memoised."""
         cell, key = self._cell_for(request, degraded)
-        memoised = self.state.memo.get(key)
-        if memoised is not None:
-            return memoised, True
-        if self.cache is not None and not self._replaying:
-            payload, hit = self.cache.read_through(
-                cell, lambda: execute_cell(cell).to_json_dict()
-            )
-        else:
-            # No cache — or recovering, where a disk read could surface
-            # post-crash answers the original run computed itself.  The
-            # original's read-through miss computed and stored; do the
-            # same, so the cache stays complete and ``hit`` agrees.
-            payload, hit = execute_cell(cell).to_json_dict(), False
-            if self.cache is not None:
-                self.cache.put(cell, payload)
+        answer = self._stored_answer(cell, key)
+        if answer is not None:
+            return answer, True
+        payload = execute_cell(cell).to_json_dict()
+        if self.cache is not None:
+            self.cache.put(cell, payload)
         answer = self.state.memo[key] = _answer(payload)
-        return answer, hit
+        return answer, False
 
     def _salt(self) -> str:
         return self.cache.salt if self.cache is not None else (
@@ -685,7 +676,9 @@ class _Arbiter:
             # entitled to admission-free answers.
             self._shed(now, request, "draining")
             return
-        answer = self._probe(request)
+        answer = self._stored_answer(
+            *self._cell_for(request, degraded=False)
+        )
         if answer is not None:
             # Answer reuse: the content-addressed result server already
             # holds this answer — serve it admission-free.
@@ -1254,7 +1247,8 @@ def recover_service(
     would have produced.
 
     Determinism caveat: recovery re-executes with disk-cache reads
-    suppressed outside the restored memo (see ``_Arbiter._probe``).
+    suppressed outside the restored memo (see
+    ``_Arbiter._stored_answer``).
     For the supported setups — ``--no-cache`` or a cache directory
     private to the run — this is exactly the original timeline.  A
     cache shared with *other* writers that warmed keys before the

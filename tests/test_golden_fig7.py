@@ -8,24 +8,30 @@ Two layers of pinning:
   per-scheduler speedups and the HEF > SJF > ASF > FSFR quality
   ordering.  These fail if the artifact is edited or regenerated
   inconsistently.
-* **Live goldens** — exact ``total_cycles`` of a small pinned sweep
-  (8 frames, seed 2008, three AC counts) re-simulated through the sweep
-  engine on every test run.  Any code change that moves simulation
-  behaviour fails here with a readable expected/got diff.
+* **Live goldens** — the whole Figure 7 grid (101 cells, 8 frames,
+  seed 2008, whatever ``REPRO_FRAMES`` says) re-simulated once per test
+  run: the grid's size, a digest over every cell's cycle accounting,
+  and the exact ``total_cycles`` of sixteen cells.  The digest was
+  recorded by the reference per-span replay loop before it was deleted,
+  so it is an oracle independent of the one engine left.  Any code
+  change that moves simulation behaviour fails here with a readable
+  expected/got diff.
 
-When a *deliberate* behaviour change moves the live goldens: re-generate
-them (the test failure prints the new values), update ``_GOLDEN_CYCLES``
-below, regenerate ``artifacts/full_sweep_results.json`` at paper scale,
-and bump
-the cache salt (``repro.exec.cache.CODE_VERSION_SALT``).
+When a *deliberate* semantic change moves the live goldens: take the
+new values from the failure's diff, update ``_GRID_GOLDEN`` and
+``_GOLDEN_CYCLES`` below, regenerate ``artifacts/full_sweep_results.json``
+at paper scale, bump the cache salt
+(``repro.exec.cache.CODE_VERSION_SALT``) and say why in CHANGES.md.
 """
 
+import hashlib
 import json
 import statistics
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiments import ExperimentScale, fig7_spec
 from repro.exec import SweepSpec, WorkloadSpec, run_sweep
 
 ARTIFACT = (
@@ -125,9 +131,23 @@ class TestArtifactScalars:
 
 
 # ---------------------------------------------------------------------------
-# Layer 2: live goldens — exact cycle counts of a small pinned sweep
+# Layer 2: live goldens — the Figure 7 grid at 8 frames, simulated once
 # ---------------------------------------------------------------------------
 
+#: Every paper scheduler and the Molen baseline at 5..24 ACs, plus the
+#: software baseline.  Frames and seed are pinned here, not read from
+#: the environment.
+_GRID_SPEC = fig7_spec(ExperimentScale(frames=8, seed=2008))
+
+#: The grid's size and the reference loop's digest of its results.
+_GRID_GOLDEN = {
+    "cells": 101,
+    "trace iterations": 959_904,
+    "result digest": "sha256:bc6be380d159ff5f",
+}
+
+#: Sixteen cells of the grid, kept as a spec because
+#: ``tests/test_golden_vector.py`` re-runs them traced.
 _GOLDEN_SPEC = SweepSpec(
     schedulers=("FSFR", "ASF", "SJF", "HEF"),
     ac_counts=(6, 10, 14),
@@ -136,9 +156,8 @@ _GOLDEN_SPEC = SweepSpec(
     include_software=True,
 )
 
-#: Exact total_cycles per cell, generated by running _GOLDEN_SPEC
-#: through the sweep engine.  All quantities are integer cycle counts,
-#: so equality is exact across platforms.
+#: Exact total_cycles per cell of _GOLDEN_SPEC.  All quantities are
+#: integer cycle counts, so equality is exact across platforms.
 _GOLDEN_CYCLES = dict([
     ("FSFR@6AC/8f", 45455170),
     ("ASF@6AC/8f", 45126855),
@@ -159,15 +178,54 @@ _GOLDEN_CYCLES = dict([
 ])
 
 
+def _grid_digest(results):
+    """Short sha256 over every cell's cycle accounting, in grid order
+    (the fields and encoding the reference loop's digest used)."""
+    payload = [
+        {
+            "system": r.system,
+            "scheduler": r.scheduler_name,
+            "num_acs": r.num_acs,
+            "total_cycles": r.total_cycles,
+            "hot_spot_cycles": r.hot_spot_cycles,
+            "per_frame_cycles": list(r.per_frame_cycles),
+            "si_executions": dict(r.si_executions),
+            "loads_started": r.loads_started,
+            "loads_completed": r.loads_completed,
+            "evictions": r.evictions,
+            "degraded_cycles": r.degraded_cycles,
+        }
+        for r in results
+    ]
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return "sha256:" + hashlib.sha256(blob).hexdigest()[:16]
+
+
 @pytest.fixture(scope="module")
 def live_report():
-    return run_sweep(_GOLDEN_SPEC, jobs=1)
+    return run_sweep(_GRID_SPEC, jobs=1)
 
 
 class TestLiveGoldens:
+    def test_grid_size_and_digest(self, live_report):
+        workload = _GRID_SPEC.workload.build()
+        iterations = sum(len(trace.counts) for trace in workload.traces)
+        actual = {
+            "cells": len(live_report),
+            "trace iterations": iterations * len(live_report),
+            "result digest": _grid_digest(live_report.results),
+        }
+        lines = _diff(_GRID_GOLDEN, actual)
+        assert not lines, (
+            "the Figure 7 grid moved (update _GRID_GOLDEN and bump the "
+            "cache salt if this is deliberate):\n" + "\n".join(lines)
+        )
+
     def test_total_cycles_pinned(self, live_report):
         actual = {
-            o.cell.label: o.result.total_cycles for o in live_report
+            o.cell.label: o.result.total_cycles
+            for o in live_report
+            if o.cell.label in _GOLDEN_CYCLES
         }
         assert set(actual) == set(_GOLDEN_CYCLES)
         lines = _diff(_GOLDEN_CYCLES, actual)

@@ -1,12 +1,11 @@
 """Multi-tenant fabric arbitration service (:mod:`repro.service`).
 
 Unit tests for the building blocks (tenant specs, token bucket, circuit
-breaker, admission gates, AC lease ledger, leased planning,
-cache read-through) plus integration tests of the arbiter: overload
-shedding taxonomy, the never-drop invariant, priority preemption,
-degraded service under fault storms, answer reuse, and bit-identical
-determinism of reruns — the overload soak of ISSUE 6's acceptance
-criteria.
+breaker, admission gates, AC lease ledger, leased planning) plus
+integration tests of the arbiter: overload shedding taxonomy, the
+never-drop invariant, priority preemption, degraded service under fault
+storms, answer reuse, bit-identical determinism of reruns, and the
+pinned 20,000-tick overload scenario.
 """
 
 from __future__ import annotations
@@ -43,6 +42,8 @@ from repro.service import (
     run_service,
 )
 from repro.service.state import LeaseLedger
+
+from tests.test_golden_fig7 import _diff
 
 
 def small_fleet(num=8, mean_gap=60, deadline_slack=400):
@@ -406,32 +407,6 @@ class TestPlanWithLease:
             manager.plan_with_lease("EE", HOT_SPOT_SIS["EE"], empty, -1)
 
 
-# -- cache read-through ----------------------------------------------------
-
-
-class TestReadThrough:
-    def test_miss_computes_then_hit_serves(self, tmp_path):
-        from repro.exec.spec import SweepCell
-
-        cache = ResultCache(tmp_path)
-        cell = SweepCell(
-            system="Software",
-            num_acs=0,
-            workload=WorkloadSpec(frames=1, max_traces=1),
-        )
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"total_cycles": 42}
-
-        payload, hit = cache.read_through(cell, compute)
-        assert (payload, hit) == ({"total_cycles": 42}, False)
-        payload, hit = cache.read_through(cell, compute)
-        assert (payload, hit) == ({"total_cycles": 42}, True)
-        assert len(calls) == 1
-
-
 # -- the arbiter: config validation ----------------------------------------
 
 
@@ -638,6 +613,50 @@ class TestDeterminism:
                 assert cold_digests[request_id] == (
                     warm_digests[request_id]
                 )
+
+
+class TestOverloadGolden:
+    """The pinned overload scenario: 8 tenants at about twice the 6-AC
+    fabric's capacity for 20,000 ticks, no cache, and a fault storm at
+    ticks 1000-1040 while the answer memo is still cold.  Every field
+    below is on the virtual clock, so it is exact on any machine.
+
+    When a *deliberate* semantic change moves these values: take the
+    new ones from the failure's diff, update ``_OVERLOAD_GOLDEN``, bump
+    the cache salt (``repro.exec.cache.CODE_VERSION_SALT``) and say why
+    in CHANGES.md.
+    """
+
+    _OVERLOAD_GOLDEN = {
+        "submitted": 1500,
+        "completed": 135,
+        "degraded": 34,
+        "shed": {"atom_budget": 79, "deadline": 2},
+        "p50_latency": 1.0,
+        "p99_latency": 743.0,
+        "service_digest": (
+            "de44177e18e903eb5e94e402446bc672"
+            "2dd6992bd45974720e8eaf892e312e89"
+        ),
+    }
+
+    def test_overload_scenario_pinned(self):
+        fleet = make_tenant_fleet(
+            8, seed=2008, mean_gap=90, deadline_slack=500
+        )
+        config = ServiceConfig(
+            num_acs=6,
+            duration=20_000,
+            seed=2008,
+            fault_ticks=(1000, 1020, 1040),
+        )
+        report = run_service(fleet, config, cache=None).to_json_dict()
+        lines = _diff(self._OVERLOAD_GOLDEN, report)
+        assert not lines, (
+            "the overload scenario moved (update _OVERLOAD_GOLDEN and "
+            "bump the cache salt if this is deliberate):\n"
+            + "\n".join(lines)
+        )
 
 
 class TestDegradedFleet:
